@@ -7,8 +7,8 @@ secant numbers, smooth lattice paths, Fibonacci, whirlpool permutations.
 """
 
 from stdpuzzle import (Support, corner_table, count_bruteforce, count_dp,
-                       double_factorial, enumerate_puzzles, fibonacci,
-                       lattice_L, secant, whirlpool_W)
+                       count_prefix, double_factorial, enumerate_puzzles,
+                       fibonacci, lattice_L, secant, whirlpool_W)
 
 families = [
     ("A2,A3", "Catalan numbers", lambda n: None),
@@ -22,7 +22,7 @@ families = [
 
 for codes, label, reference in families:
     support = Support.parse(codes)
-    counts = [count_dp(support, n) for n in range(1, 6)]
+    counts = count_prefix(support, 5)
     print(f"{{{codes}}}: {counts}   <- {label}")
     for n in range(1, 6):
         try:

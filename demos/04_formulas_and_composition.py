@@ -6,7 +6,7 @@ through a converter are counted by a triple sum over the junction ranks.
 Everything is cross-checked against the engines.
 """
 
-from stdpuzzle import Support, count_dp
+from stdpuzzle import Support, count_dp, count_prefix
 from stdpuzzle.theorems import (CompositionQuery, SIMPLE_PIECES, a2_plus_b,
                                 a23_plus_b, a123_plus_b, compose,
                                 compose_support, converter_image,
@@ -24,7 +24,7 @@ for i, fn, codes in [(1, a123_plus_b, "A1,A2,A3,B1"),
                      (6, a2_plus_b, "A2,B6")]:
     support = Support.parse(codes)
     formula = [fn(i, n) for n in (1, 2, 3, 4)]
-    engine = [count_dp(support, n) for n in (1, 2, 3, 4)]
+    engine = count_prefix(support, 4)
     print(f"  {{{codes}}}: formula {formula}, engine {engine}")
 
 print()

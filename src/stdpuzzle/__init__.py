@@ -2,15 +2,15 @@
 
 A standard n-puzzle is a 2x(n+1) grid filled bijectively with 1..2n+2;
 its family is the set of 2x2 order patterns ("pieces") its windows may
-realize.  The package provides the piece algebra, two cross-checked
-counting engines, the skeleton model generating the simple families,
-closed-form counts with an independent verification suite, and sequence
+realize.  The package provides the piece algebra, two counting engines
+sharing one transition kernel, the skeleton model generating the simple
+families, closed-form counts with an independent verification suite, and sequence
 identification.
 """
 
 from .counting import (CornerTable, corner_table, count_bruteforce,
                        count_corner_bottom, count_corner_top, count_dp,
-                       enumerate_puzzles)
+                       count_prefix, enumerate_puzzles)
 from .pieces import (EMPTY_SUPPORT, FULL_SUPPORT, PIECES, Puzzle,
                      StandardPiece, Support, is_supported, minimal_support,
                      piece, piece_table, pieces_of, reduce_window)
@@ -32,7 +32,7 @@ __all__ = [
     "SkeletonGraph", "StandardPiece", "Support", "all_simple_pieces",
     "basic_skeleton", "catalan", "catalan_triangle_t", "check_invariance",
     "classify", "corner_table", "count_bruteforce", "count_corner_bottom",
-    "count_corner_top", "count_dp", "count_linear_extensions",
+    "count_corner_top", "count_dp", "count_linear_extensions", "count_prefix",
     "double_factorial", "entringer", "enumerate_puzzles", "export_dot",
     "f1", "f12", "f123", "f2", "f3", "fibonacci", "generating_skeleton",
     "is_supported", "lattice_L", "minimal_support", "mirror",

@@ -135,6 +135,9 @@ def cmd_skeleton(args) -> int:
 
 def cmd_count(args) -> int:
     support = _support(args.support)
+    if args.corner and args.engine == "brute":
+        raise ValueError("--corner reads the DP's corner table; "
+                         "it cannot be combined with --engine brute")
     if args.corner:
         where, _, rank = args.corner.partition("=")
         x = int(rank)
@@ -238,8 +241,7 @@ def cmd_identify(args) -> int:
 def cmd_families(args) -> int:
     xs = [int(tok) for tok in args.x.split(",")] if args.x else None
     rows = families_mod.sweep(args.kind, _nmax(args, 4),
-                              include_open=args.include_open,
-                              xs=xs, threads=args.threads)
+                              include_open=args.include_open, xs=xs)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.format == "csv":
@@ -266,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stdpuzzle",
         description="enumerate, count, and verify standard puzzles")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--cache-dir", default=None,
                         help="cache directory for OEIS lookups")
     parser.add_argument("--oeis", action="store_true",

@@ -1,25 +1,29 @@
-"""The two counting engines: brute-force enumeration and a rank-profile DP.
+"""Counting supported puzzles: a rank-profile DP and brute-force enumeration.
 
-Both engines build puzzles column by column.  After m columns only the
-relative order of the 2m placed labels matters, and a window's piece is
-fixed by four values: the previous column's (bottom, top) ranks and the
-new column's.  The brute-force engine walks the whole choice tree (and can
-materialize the puzzles); the DP engine collapses the tree onto the state
-"(u, v) = merged ranks of the rightmost column", which is exactly the
-corner-refined count table.
+Puzzles are built column by column.  After m columns only the relative
+order of the 2m placed labels matters, and a window's piece is fixed by
+four values: the previous column's (bottom, top) ranks and the new
+column's.  Extending a column with ranks (u, v) among 2m labels by a new
+column with ranks (u', v') among 2m+2: the old ranks shift to their
+positions in {1..2m+2} minus {u', v'}, and the window (old column, new
+column) must reduce to a supported piece.  `_targets` holds that
+arithmetic and the window-to-piece lookup; both engines take their moves
+from it (`enumerate_puzzles` re-applies only the shift, to relabel whole
+rows).
 
-Extending a state (u, v) over 2m labels by a new column with ranks
-(u', v') among 2m+2: the old ranks shift to their positions in
-{1..2m+2} minus {u', v'}, and the window (old column, new column) must
-reduce to a supported piece.
+The DP collapses the column-insertion tree onto the state "(u, v) =
+merged ranks of the rightmost column", which is exactly the
+corner-refined count table; one pass over the layers yields the whole
+count prefix.  The brute-force engine walks the unmerged tree (and can
+materialize the puzzles); it shares the kernel, so the definition-level
+check of both is the `reduce_window` filter in the tests.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
-from types import MappingProxyType
+from itertools import count, islice
 from typing import Iterator, Mapping
 
 from .pieces import _PATTERN_ORDINAL, Puzzle, Support
@@ -35,32 +39,41 @@ def _check_brute_bound(n: int, bound: int) -> None:
         raise ValueError(f"n={n} exceeds the brute-force bound {bound}")
 
 
-@lru_cache(maxsize=4096)
-def _dp_layer(mask: int, m: int) -> Mapping[tuple[int, int], int]:
-    """Corner-count table after m columns for the support bitmask."""
-    if m == 1:
-        return MappingProxyType({(1, 2): 1, (2, 1): 1})
-    prev = _dp_layer(mask, m - 1)
-    size = 2 * m
+def _targets(u: int, v: int, m: int, mask: int) -> list[tuple[int, int]]:
+    """Rank pairs over 2m+2 labels that the column (u, v) over 2m labels
+    may move to, i.e. whose window reduces to a piece in the mask."""
     pattern = _PATTERN_ORDINAL
-    out: dict[tuple[int, int], int] = defaultdict(int)
-    for (u, v), cnt in prev.items():
-        for u2 in range(1, size + 1):
-            for v2 in range(1, size + 1):
-                if v2 == u2:
-                    continue
-                if u2 < v2:
-                    lo, hi1 = u2, v2 - 1
-                else:
-                    lo, hi1 = v2, u2 - 1
-                au = u + (u >= lo) + (u >= hi1)
-                av = v + (v >= lo) + (v >= hi1)
-                # window: TL = av, TR = v2, BL = au, BR = u2
-                key = ((av > v2) << 5 | (av > au) << 4 | (av > u2) << 3
-                       | (v2 > au) << 2 | (v2 > u2) << 1 | (au > u2))
-                if mask >> pattern[key] & 1:
-                    out[(u2, v2)] += cnt
-    return MappingProxyType(dict(out))
+    size = 2 * m + 2
+    out = []
+    for u2 in range(1, size + 1):
+        for v2 in range(1, size + 1):
+            if v2 == u2:
+                continue
+            if u2 < v2:
+                lo, hi1 = u2, v2 - 1
+            else:
+                lo, hi1 = v2, u2 - 1
+            au = u + (u >= lo) + (u >= hi1)
+            av = v + (v >= lo) + (v >= hi1)
+            # window: TL = av, TR = v2, BL = au, BR = u2
+            key = ((av > v2) << 5 | (av > au) << 4 | (av > u2) << 3
+                   | (v2 > au) << 2 | (v2 > u2) << 1 | (au > u2))
+            if mask >> pattern[key] & 1:
+                out.append((u2, v2))
+    return out
+
+
+def _layers(mask: int) -> Iterator[Mapping[tuple[int, int], int]]:
+    """Corner-count tables after m = 1, 2, ... columns, each built from
+    the one before."""
+    layer: Mapping[tuple[int, int], int] = {(1, 2): 1, (2, 1): 1}
+    for m in count(1):
+        yield layer
+        out: dict[tuple[int, int], int] = defaultdict(int)
+        for (u, v), cnt in layer.items():
+            for target in _targets(u, v, m, mask):
+                out[target] += cnt
+        layer = out
 
 
 @dataclass(frozen=True)
@@ -94,14 +107,21 @@ def corner_table(support: Support, m: int) -> CornerTable:
     """The DP table after m columns (m-1 pieces)."""
     if m < 1:
         raise ValueError("corner_table needs m >= 1")
-    return CornerTable(m, dict(_dp_layer(support.mask, m)))
+    last = next(islice(_layers(support.mask), m - 1, None))
+    return CornerTable(m, dict(last))
+
+
+def count_prefix(support: Support, nmax: int) -> list[int]:
+    """Counts of supported n-puzzles for n = 1..nmax, from one DP pass."""
+    if nmax < 1:
+        raise ValueError("puzzles need n >= 1 pieces")
+    return [sum(layer.values())
+            for layer in islice(_layers(support.mask), 1, nmax + 1)]
 
 
 def count_dp(support: Support, n: int) -> int:
     """Number of standard n-puzzles supported by `support`, via the rank DP."""
-    if n < 1:
-        raise ValueError("puzzles need n >= 1 pieces")
-    return sum(_dp_layer(support.mask, n + 1).values())
+    return count_prefix(support, n)[-1]
 
 
 def count_corner_bottom(support: Support, n: int, x: int) -> int:
@@ -114,35 +134,6 @@ def count_corner_top(support: Support, n: int, x: int) -> int:
     return corner_table(support, n + 1).top_sum(x)
 
 
-@lru_cache(maxsize=64)
-def _transition_table(m: int) -> Mapping[tuple[int, int], tuple]:
-    """For each rank pair over 2m labels: every next-column rank pair over
-    2m+2 labels with the piece the window reduces to."""
-    pattern = _PATTERN_ORDINAL
-    size = 2 * m + 2
-    table = {}
-    for u in range(1, 2 * m + 1):
-        for v in range(1, 2 * m + 1):
-            if v == u:
-                continue
-            moves = []
-            for u2 in range(1, size + 1):
-                for v2 in range(1, size + 1):
-                    if v2 == u2:
-                        continue
-                    if u2 < v2:
-                        lo, hi1 = u2, v2 - 1
-                    else:
-                        lo, hi1 = v2, u2 - 1
-                    au = u + (u >= lo) + (u >= hi1)
-                    av = v + (v >= lo) + (v >= hi1)
-                    key = ((av > v2) << 5 | (av > au) << 4 | (av > u2) << 3
-                           | (v2 > au) << 2 | (v2 > u2) << 1 | (au > u2))
-                    moves.append((u2, v2, pattern[key]))
-            table[(u, v)] = tuple(moves)
-    return MappingProxyType(table)
-
-
 def count_bruteforce(support: Support, n: int, bound: int = BRUTE_FORCE_BOUND) -> int:
     """Ground-truth count by walking the whole column-insertion tree.
 
@@ -151,12 +142,12 @@ def count_bruteforce(support: Support, n: int, bound: int = BRUTE_FORCE_BOUND) -
     """
     _check_brute_bound(n, bound)
     mask = support.mask
+    # Move lists for the states reachable at each column count.
     allowed = {}
+    states = {(1, 2), (2, 1)}
     for m in range(1, n + 1):
-        allowed[m] = {
-            state: tuple((u2, v2) for (u2, v2, pid) in moves if mask >> pid & 1)
-            for state, moves in _transition_table(m).items()
-        }
+        allowed[m] = {(u, v): _targets(u, v, m, mask) for u, v in states}
+        states = {t for targets in allowed[m].values() for t in targets}
     last = allowed[n]
 
     def rec(u: int, v: int, m: int) -> int:
@@ -178,13 +169,12 @@ def _gen(top: tuple[int, ...], bottom: tuple[int, ...], n: int,
         yield Puzzle(top, bottom)
         return
     u, v = bottom[-1], top[-1]
-    for u2, v2, pid in _transition_table(m)[(u, v)]:
-        if mask >> pid & 1:
-            lo, hi1 = (u2, v2 - 1) if u2 < v2 else (v2, u2 - 1)
-            yield from _gen(
-                tuple(x + (x >= lo) + (x >= hi1) for x in top) + (v2,),
-                tuple(y + (y >= lo) + (y >= hi1) for y in bottom) + (u2,),
-                n, mask)
+    for u2, v2 in _targets(u, v, m, mask):
+        lo, hi1 = (u2, v2 - 1) if u2 < v2 else (v2, u2 - 1)
+        yield from _gen(
+            tuple(x + (x >= lo) + (x >= hi1) for x in top) + (v2,),
+            tuple(y + (y >= lo) + (y >= hi1) for y in bottom) + (u2,),
+            n, mask)
 
 
 def enumerate_puzzles(support: Support, n: int,

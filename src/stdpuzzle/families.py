@@ -16,11 +16,10 @@ cached prefix instead of recounting.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .counting import count_dp
+from .counting import count_prefix
 from .pieces import Support
 from .sequences import registry_matches
 from .theorems import simple_piece_support
@@ -117,8 +116,8 @@ def iter_family_specs(kind: int, include_open: bool = False,
         raise ValueError("kind must be 1 or 2")
 
 
-def sweep(kind: int, nmax: int, include_open: bool = False, xs=None,
-          threads: int = 1) -> Iterator[dict]:
+def sweep(kind: int, nmax: int, include_open: bool = False,
+          xs=None) -> Iterator[dict]:
     """Yield one row per descriptor: support, count prefix, registry match.
 
     Each distinct support is counted once; later descriptors assembling
@@ -126,20 +125,15 @@ def sweep(kind: int, nmax: int, include_open: bool = False, xs=None,
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    specs = list(iter_family_specs(kind, include_open=include_open, xs=xs))
     seen: dict[str, list] = {}
-
-    def prefix_of(support: Support) -> list:
-        return [count_dp(support, n) for n in range(1, nmax + 1)]
-
-    def build(spec: FamilySpec) -> dict:
+    for spec in iter_family_specs(kind, include_open=include_open, xs=xs):
         support = spec.support()
         key = str(support)
         duplicate = key in seen
         if duplicate:
             prefix = seen[key]
         else:
-            prefix = prefix_of(support)
+            prefix = count_prefix(support, nmax)
             seen[key] = prefix
         matches = registry_matches(prefix)
         row = spec.descriptor()
@@ -151,13 +145,4 @@ def sweep(kind: int, nmax: int, include_open: bool = False, xs=None,
             "match": matches[0]["name"] if matches else "",
             "match_detail": matches[0] if matches else None,
         })
-        return row
-
-    if threads > 1:
-        # Counting is pure; precompute prefixes in a pool, then emit rows
-        # in descriptor order from the single consumer below.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: count_dp(s.support(), nmax), specs,
-                          chunksize=8))
-    for spec in specs:
-        yield build(spec)
+        yield row

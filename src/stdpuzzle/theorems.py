@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .counting import count_dp
+from .counting import count_prefix
 from .pieces import Support, piece
 from .sequences import (catalan, double_factorial, entringer, fibonacci,
                         lattice_L, multinomial_all_pairs, secant)
@@ -449,18 +449,22 @@ def _aligned_support(alpha, choice_p, choice_q) -> Support:
     return Support(frozenset(members))
 
 
+def _counts_twice_all_a(alpha, choice_p, choice_q, n: int) -> bool:
+    """Whether the aligned support counts twice the all-A support at every
+    n' <= n (one DP pass per support)."""
+    lhs = count_prefix(_aligned_support(alpha, choice_p, choice_q), n)
+    rhs = count_prefix(Support.of(*[f"A{i}" for i in alpha]), n)
+    return lhs == [2 * c for c in rhs]
+
+
 def flip_pair_identity(alpha, choice_p, choice_q, n: int) -> bool:
     """Check: picking P_i from {A_i,B_i} and Q_i from {C_i,D_i} for i in
-    alpha, the union counts twice the all-A support."""
+    alpha, the union counts twice the all-A support, at every n' <= n."""
     alpha = sorted(set(alpha))
     for i in alpha:
         if choice_p[i] not in ("A", "B") or choice_q[i] not in ("C", "D"):
             raise ValueError("choices must pick P_i in {A,B} and Q_i in {C,D}")
-    if not alpha:
-        return True
-    lhs = count_dp(_aligned_support(alpha, choice_p, choice_q), n)
-    rhs = 2 * count_dp(Support.of(*[f"A{i}" for i in alpha]), n)
-    return lhs == rhs
+    return not alpha or _counts_twice_all_a(alpha, choice_p, choice_q, n)
 
 
 def flip_pair_corollary(alpha, choice_p, choice_q, n: int) -> bool:
@@ -469,15 +473,12 @@ def flip_pair_corollary(alpha, choice_p, choice_q, n: int) -> bool:
     for i in alpha:
         if choice_p[i] not in ("A", "C") or choice_q[i] not in ("B", "D"):
             raise ValueError("choices must pick P_i in {A,C} and Q_i in {B,D}")
-    if not alpha:
-        return True
-    lhs = count_dp(_aligned_support(alpha, choice_p, choice_q), n)
-    rhs = 2 * count_dp(Support.of(*[f"A{i}" for i in alpha]), n)
-    return lhs == rhs
+    return not alpha or _counts_twice_all_a(alpha, choice_p, choice_q, n)
 
 
-def product_identity_pair(classes, alpha, n: int) -> tuple[int, int]:
-    """Return (count of {X_i : X in classes, i in alpha},
+def product_identity_pair(classes, alpha, n: int) -> tuple[list[int], list[int]]:
+    """Return, as vectors over n' = 1..n,
+              (count of {X_i : X in classes, i in alpha},
                count of A_alpha  *  count of {X_1 : X in classes}).
 
     The two agree: spreading a subscript-1 family across the subscripts in
@@ -491,7 +492,8 @@ def product_identity_pair(classes, alpha, n: int) -> tuple[int, int]:
     spread = Support.of(*[f"{c}{i}" for c in classes for i in alpha])
     ones = Support.of(*[f"{c}1" for c in classes])
     a_alpha = Support.of(*[f"A{i}" for i in alpha])
-    return count_dp(spread, n), count_dp(a_alpha, n) * count_dp(ones, n)
+    rhs = [a * b for a, b in zip(count_prefix(a_alpha, n), count_prefix(ones, n))]
+    return count_prefix(spread, n), rhs
 
 
 def sample_composition_queries(count: int, nmax: int = 3, seed: int = 20240809,

@@ -10,13 +10,14 @@ suite records that discrepancy instead of hiding it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import theorems
-from .counting import (corner_table, count_bruteforce, count_corner_bottom,
-                       count_corner_top, count_dp)
+from .counting import (corner_table, count_bruteforce, count_dp,
+                       count_prefix)
 from .pieces import PIECES, Support, reduce_window
 from .sequences import (catalan, catalan_triangle_t, double_factorial,
                         entringer, fibonacci, lattice_L, secant,
@@ -121,16 +122,14 @@ def _claim_catalan(nmax: int) -> ClaimResult:
     hi = min(nmax, 8)
     s = Support.parse("A2,A3")
     return _vectors("catalan", "counts for {A2,A3} are the Catalan numbers",
-                    f"1..{hi}",
-                    [count_dp(s, n) for n in range(1, hi + 1)],
+                    f"1..{hi}", count_prefix(s, hi),
                     [catalan(n + 1) for n in range(1, hi + 1)])
 
 
 def _claim_double_factorial(nmax: int) -> ClaimResult:
     hi = min(nmax, 8)
     a123, a12 = Support.parse("A1,A2,A3"), Support.parse("A1,A2")
-    computed = [count_dp(a123, n) for n in range(1, hi + 1)] + \
-        [count_dp(a12, n) for n in range(1, hi + 1)]
+    computed = count_prefix(a123, hi) + count_prefix(a12, hi)
     expected = [double_factorial(2 * n + 1) for n in range(1, hi + 1)] + \
         [double_factorial(2 * n) for n in range(1, hi + 1)]
     return _vectors("double-factorial",
@@ -141,7 +140,7 @@ def _claim_double_factorial(nmax: int) -> ClaimResult:
 def _claim_secant(nmax: int) -> ClaimResult:
     hi = min(nmax, 5)
     s = Support.parse("A1,A2,A3,A4,A5")
-    computed = [count_dp(s, n) for n in range(1, hi + 1)]
+    computed = count_prefix(s, hi)
     expected = [secant(n + 1) for n in range(1, hi + 1)]
     # Independent confirmation of the secant values themselves.
     for k in range(1, min(hi + 1, 5) + 1):
@@ -157,8 +156,7 @@ def _claim_lattice(nmax: int) -> ClaimResult:
     s = Support.parse("A1,A2,A4,A5")
     return _vectors("lattice-paths",
                     "counts for {A1,A2,A4,A5} are the smooth lattice-path numbers",
-                    f"1..{hi}",
-                    [count_dp(s, n) for n in range(1, hi + 1)],
+                    f"1..{hi}", count_prefix(s, hi),
                     [lattice_L(n + 1) for n in range(1, hi + 1)])
 
 
@@ -166,8 +164,7 @@ def _claim_fibonacci(nmax: int) -> ClaimResult:
     hi = min(nmax, 8)
     computed, expected = [], []
     for text in ("A1,B1,C1", "B1,C1,D1"):
-        s = Support.parse(text)
-        computed += [count_dp(s, n) for n in range(1, hi + 1)]
+        computed += count_prefix(Support.parse(text), hi)
         expected += [fibonacci(n + 3) for n in range(1, hi + 1)]
     return _vectors("fibonacci",
                     "counts for {A1,B1,C1} and its flip are F(n+3)",
@@ -176,8 +173,7 @@ def _claim_fibonacci(nmax: int) -> ClaimResult:
 
 def _claim_fibonacci_alt(nmax: int) -> ClaimResult:
     hi = min(nmax, 6)
-    s = Support.parse("A1,B1,C1")
-    computed = [count_dp(s, n) for n in range(1, hi + 1)]
+    computed = count_prefix(Support.parse("A1,B1,C1"), hi)
     alt = [fibonacci(n + 2) for n in range(1, hi + 1)]
     if computed == alt:
         return ClaimResult("fibonacci-alt-offset",
@@ -195,8 +191,7 @@ def _claim_linear_family(nmax: int) -> ClaimResult:
     hi = min(nmax, 6)
     computed, expected = [], []
     for text in ("A1,B1,D1", "A1,C1,D1"):
-        s = Support.parse(text)
-        computed += [count_dp(s, n) for n in range(1, hi + 1)]
+        computed += count_prefix(Support.parse(text), hi)
         expected += [n + 2 for n in range(1, hi + 1)]
     return _vectors("linear-family",
                     "counts for {A1,B1,D1} and its flip are n+2",
@@ -208,13 +203,15 @@ def _claim_corner_refinements(nmax: int) -> ClaimResult:
     computed, expected = [], []
     a123 = Support.parse("A1,A2,A3")
     for n in range(1, hi + 1):
+        table = corner_table(a123, n + 1)
         for k in range(1, n + 2):
-            computed.append(count_corner_bottom(a123, n, 2 * n - k + 2))
+            computed.append(table.bottom_sum(2 * n - k + 2))
             expected.append(triangle_T(n, k))
     a23 = Support.parse("A2,A3")
     for n in range(1, hi + 1):
+        table = corner_table(a23, n + 1)
         for k in range(0, n + 1):
-            computed.append(count_corner_bottom(a23, n, n + k + 1))
+            computed.append(table.bottom_sum(n + k + 1))
             expected.append(catalan_triangle_t(n, k))
     return _vectors("corner-refinements",
                     "bottom-corner refinements hit the weighted-Catalan and "
@@ -227,11 +224,12 @@ def _claim_corner_entringer(nmax: int) -> ClaimResult:
     s = Support.parse("A1,A2,A3,A4,A5")
     computed, expected = [], []
     for n in range(1, hi + 1):
+        table = corner_table(s, n + 1)
         for x in range(1, 2 * n + 3):
-            computed.append(count_corner_bottom(s, n, x))
+            computed.append(table.bottom_sum(x))
             expected.append(entringer(2 * n + 1, 2 * n + 2 - x))
         for x in range(1, 2 * n + 3):
-            computed.append(count_corner_top(s, n, x))
+            computed.append(table.top_sum(x))
             expected.append(0 if x == 1 else (x - 1) * entringer(2 * n, x - 2))
     return _vectors("corner-entringer",
                     "corner refinements of {A1..A5} are Entringer numbers",
@@ -248,8 +246,8 @@ def _claim_hypergeometric(nmax: int) -> ClaimResult:
                   for k in range(1, n + 1))
         assert lhs % 2 == 0
         computed.append(lhs // 2 + double_factorial(2 * n + 1))
-        expected.append(2 ** n * _fact(n + 1))
-        computed.append(sum(_comb(2 * n - k + 1, 2) * triangle_T(n - 1, k)
+        expected.append(2 ** n * math.factorial(n + 1))
+        computed.append(sum(math.comb(2 * n - k + 1, 2) * triangle_T(n - 1, k)
                             for k in range(1, n + 1)) + double_factorial(2 * n + 1))
         expected.append((n + 3) * double_factorial(2 * n + 1)
                         - double_factorial(2 * n + 2))
@@ -258,23 +256,12 @@ def _claim_hypergeometric(nmax: int) -> ClaimResult:
                     f"1..{hi}", computed, expected)
 
 
-def _fact(k):
-    import math
-    return math.factorial(k)
-
-
-def _comb(n, k):
-    import math
-    return math.comb(n, k) if 0 <= k <= n else 0
-
-
 def _claim_simple_piece_table(nmax: int) -> ClaimResult:
     hi = min(nmax, 4)
     computed, expected = [], []
     for row in theorems.SIMPLE_PIECES:
-        for n in range(1, hi + 1):
-            computed.append(count_dp(row.support, n))
-            expected.append(row.count(n))
+        computed += count_prefix(row.support, hi)
+        expected += [row.count(n) for n in range(1, hi + 1)]
     return _vectors("simple-piece-table",
                     "all 20 tabulated simple-piece formulas match the engine",
                     f"1..{hi}", computed, expected)
@@ -287,8 +274,8 @@ def _claim_simple_pieces(nmax: int) -> ClaimResult:
     group_sizes = sorted(drawn.count(e) for e in set(drawn))
     total = len({s for i in (1, 2, 3, 4) for s in all_simple_pieces(i)})
     table_match = {row.support for row in theorems.SIMPLE_PIECES} == set(ones)
-    zero_tail = all(count_dp(s, n) == 0
-                    for i in (2, 3) for s in all_simple_pieces(i) for n in (2, 3))
+    zero_tail = all(count_prefix(s, 3)[1:] == [0, 0]
+                    for i in (2, 3) for s in all_simple_pieces(i))
     computed = [per_class, sorted(set(drawn)), group_sizes, sum(group_sizes),
                 total, table_match, zero_tail]
     expected = [[20, 20, 20, 20], [2, 3, 4, 5], sorted((1, 9, 8, 2)), 20,
@@ -309,10 +296,8 @@ def _claim_converter_closed_forms(nmax: int) -> ClaimResult:
     computed, expected = [], []
 
     def run(fn, codes, i, lo=1):
-        s = Support.parse(codes)
-        for n in range(max(lo, 1), hi + 1):
-            computed.append(count_dp(s, n))
-            expected.append(fn(i, n))
+        computed.extend(count_prefix(Support.parse(codes), hi)[lo - 1:])
+        expected.extend(fn(i, n) for n in range(lo, hi + 1))
 
     for i in range(1, 7):
         run(theorems.a123_plus_b, f"A1,A2,A3,B{i}", i)
@@ -335,10 +320,8 @@ def _claim_entringer_closed_forms(nmax: int) -> ClaimResult:
                            "needs nmax >= 2")
     computed, expected = [], []
     for i in range(1, 7):
-        s = Support.parse(f"A1,A2,A3,A4,A5,B{i}")
-        for n in range(2, hi + 1):
-            computed.append(count_dp(s, n))
-            expected.append(theorems.a12345_plus_b(i, n))
+        computed += count_prefix(Support.parse(f"A1,A2,A3,A4,A5,B{i}"), hi)[1:]
+        expected += [theorems.a12345_plus_b(i, n) for n in range(2, hi + 1)]
     return _vectors("entringer-closed-forms",
                     "{A1..A5}+B_i Entringer sums match the engine",
                     f"2..{hi}", computed, expected)
@@ -351,9 +334,8 @@ def _claim_converter_images(nmax: int) -> ClaimResult:
         family = Support.parse(codes)
         for i in range(1, 7):
             _, j = theorems.converter_image(family, i)
-            for n in range(1, hi + 1):
-                computed.append(count_dp(family | Support.of(f"C{i}"), n))
-                expected.append(count_dp(family | Support.of(f"B{j}"), n))
+            computed += count_prefix(family | Support.of(f"C{i}"), hi)
+            expected += count_prefix(family | Support.of(f"B{j}"), hi)
     return _vectors("converter-images",
                     "2-converter families count like their mapped 1-converter families",
                     f"1..{hi}", computed, expected)
@@ -437,9 +419,8 @@ def _claim_flip_pair(nmax: int) -> ClaimResult:
                     cq = {i: "CD"[bits_q >> t & 1] for t, i in enumerate(alpha)}
                     cp2 = {i: "AC"[bits_p >> t & 1] for t, i in enumerate(alpha)}
                     cq2 = {i: "BD"[bits_q >> t & 1] for t, i in enumerate(alpha)}
-                    for n in range(1, hi + 1):
-                        checks.append(theorems.flip_pair_identity(alpha, cp, cq, n))
-                        checks.append(theorems.flip_pair_corollary(alpha, cp2, cq2, n))
+                    checks.append(theorems.flip_pair_identity(alpha, cp, cq, hi))
+                    checks.append(theorems.flip_pair_corollary(alpha, cp2, cq2, hi))
     rng = random.Random(13)
     for _ in range(20):
         r = rng.randrange(3, 7)
@@ -457,27 +438,23 @@ def _claim_whirlpool(nmax: int) -> ClaimResult:
     s = Support.parse("A1,A4,B3,B6,C3,C6,D1,D4")
     return _vectors("whirlpool",
                     "the vortex-style support counts whirlpool permutations",
-                    f"1..{hi}",
-                    [count_dp(s, n) for n in range(1, hi + 1)],
+                    f"1..{hi}", count_prefix(s, hi),
                     [whirlpool_W(n + 1) for n in range(1, hi + 1)])
 
 
 def _claim_product_identity(nmax: int) -> ClaimResult:
     hi = min(nmax, 3)
-    checks = 0
-    failures = []
+    checks = failures = 0
     for size in range(1, 5):
         for classes in combinations("ABCD", size):
             for r in (1, 2):
                 for alpha in combinations(range(1, 7), r):
-                    for n in range(1, hi + 1):
-                        lhs, rhs = theorems.product_identity_pair(classes, alpha, n)
-                        checks += 1
-                        if lhs != rhs:
-                            failures.append((classes, alpha, n, lhs, rhs))
+                    lhs, rhs = theorems.product_identity_pair(classes, alpha, hi)
+                    checks += len(lhs)
+                    failures += sum(a != b for a, b in zip(lhs, rhs))
     return _vectors("product-identity",
                     "spreading a subscript-1 family across subscripts multiplies counts",
-                    f"n<={hi}", [len(failures), checks], [0, checks])
+                    f"n<={hi}", [failures, checks], [0, checks])
 
 
 def _claim_flip_invariance(nmax: int) -> ClaimResult:
@@ -491,10 +468,10 @@ def _claim_flip_invariance(nmax: int) -> ClaimResult:
         supports.append(Support(frozenset(rng.sample(PIECES, size))))
     computed, expected = [], []
     for s in supports:
+        prefix = count_prefix(s, hi)
         for fmap in (f1, f2, f3):
-            for n in range(1, hi + 1):
-                computed.append(count_dp(s, n))
-                expected.append(count_dp(fmap(s), n))
+            computed += prefix
+            expected += count_prefix(fmap(s), hi)
     return _vectors("flip-invariance",
                     "counts are invariant under the three piece-set bijections",
                     f"1..{hi}", computed, expected)
@@ -507,9 +484,8 @@ def _claim_engine_equivalence(nmax: int) -> ClaimResult:
     for _ in range(30):
         size = rng.randrange(0, 25)
         s = Support(frozenset(rng.sample(PIECES, size)))
-        for n in range(1, hi + 1):
-            computed.append(count_dp(s, n))
-            expected.append(count_bruteforce(s, n))
+        computed += count_prefix(s, hi)
+        expected += [count_bruteforce(s, n) for n in range(1, hi + 1)]
     return _vectors("engine-equivalence",
                     "the transfer DP agrees with brute-force enumeration",
                     f"1..{hi}", computed, expected)

@@ -36,6 +36,16 @@ def test_count_brute_engine_and_corner(capsys):
     assert corner["count"] == "1"
 
 
+def test_count_rejects_brute_engine_with_corner(capsys):
+    # Corner counts come from the DP table; labelling them "brute" (and
+    # skipping the brute-force bound) would misreport the engine.
+    code, out, err = run(capsys, "count", "--support", "A1,A2,A3", "--n", "9",
+                         "--engine", "brute", "--corner", "bottom=5")
+    assert code == 2
+    assert out == ""
+    assert "--engine brute" in err
+
+
 def test_enumerate(capsys):
     payload = run_json(capsys, "enumerate", "--support", "A2,A3", "--n", "2")
     assert payload["count"] == "5"

@@ -1,12 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stdpuzzle.counting import (corner_table, count_bruteforce,
                                 count_corner_bottom, count_corner_top,
-                                count_dp, enumerate_puzzles)
+                                count_dp, count_prefix, enumerate_puzzles)
 from stdpuzzle.pieces import (FULL_SUPPORT, PIECES, Support, minimal_support,
                               reduce_window)
 from stdpuzzle.sequences import entringer, triangle_T
@@ -34,6 +38,8 @@ def test_engines_match_naive_oracle(text, n):
     expected = naive_count(support, n)
     assert count_bruteforce(support, n) == expected
     assert count_dp(support, n) == expected
+    assert count_prefix(support, n) == [naive_count(support, k)
+                                        for k in range(1, n)] + [expected]
 
 
 def test_full_support_counts_every_filling():
@@ -67,6 +73,21 @@ def test_enumerate_sorted_and_supported():
 
 def test_enumerate_empty_support():
     assert enumerate_puzzles(Support.parse(""), 1) == []
+
+
+def test_dp_builds_layers_iteratively():
+    # Deep n must not grow the Python stack: one layer per column.
+    code = ("import sys\n"
+            "from stdpuzzle.counting import count_dp\n"
+            "from stdpuzzle.pieces import Support\n"
+            "sys.setrecursionlimit(100)\n"
+            "print(count_dp(Support.parse('A1'), 80))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1"
 
 
 def test_bounds():

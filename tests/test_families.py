@@ -70,9 +70,3 @@ def test_sweep_kind2_slice():
     assert len(rows) == 2 * 2 * 2 * 2 ** 6
     assert all(r["kind"] == 2 and r["z"] in (16, 17) for r in rows)
 
-
-def test_sweep_threads_smoke():
-    rows_seq = list(sweep(1, 2, xs=[19]))
-    rows_par = list(sweep(1, 2, xs=[19], threads=4))
-    assert [r["support"] for r in rows_seq] == [r["support"] for r in rows_par]
-    assert [r["prefix"] for r in rows_seq] == [r["prefix"] for r in rows_par]
