@@ -6,9 +6,12 @@ and the classic families come out: Catalan numbers, double factorials,
 secant numbers, smooth lattice paths, Fibonacci, whirlpool permutations.
 """
 
-from stdpuzzle import (Support, corner_table, count_bruteforce, count_dp,
-                       count_prefix, double_factorial, enumerate_puzzles,
-                       fibonacci, lattice_L, secant, whirlpool_W)
+from math import factorial
+
+from stdpuzzle import (FULL_SUPPORT, Support, corner_table, count_bruteforce,
+                       count_dp, count_prefix, double_factorial,
+                       enumerate_puzzles, fibonacci, lattice_L, secant,
+                       whirlpool_W)
 
 families = [
     ("A2,A3", "Catalan numbers", lambda n: None),
@@ -37,6 +40,12 @@ print("Both engines agree (brute force walks the whole tree):")
 support = Support.parse("A2,A3,B5")
 for n in (1, 2, 3, 4):
     print(f"  n={n}: dp={count_dp(support, n)}, brute={count_bruteforce(support, n)}")
+
+print()
+print("Deep counts are cheap: a DP layer costs O(m^2) over m columns.")
+deep = count_dp(FULL_SUPPORT, 40)
+assert deep == factorial(82)  # every filling of the 2x41 grid counts
+print(f"  all 24 pieces, n=40: {deep} = 82!")
 
 print()
 print("The five 2-piece Catalan puzzles:")

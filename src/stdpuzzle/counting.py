@@ -1,35 +1,52 @@
-"""Counting supported puzzles: a rank-profile DP and brute-force enumeration.
+"""Counting supported puzzles: a rank-pair DP and brute-force enumeration.
 
 Puzzles are built column by column.  After m columns only the relative
-order of the 2m placed labels matters, and a window's piece is fixed by
-four values: the previous column's (bottom, top) ranks and the new
-column's.  Extending a column with ranks (u, v) among 2m labels by a new
-column with ranks (u', v') among 2m+2: the old ranks shift to their
-positions in {1..2m+2} minus {u', v'}, and the window (old column, new
-column) must reduce to a supported piece.  `_targets` holds that
-arithmetic and the window-to-piece lookup; both engines take their moves
-from it (`enumerate_puzzles` re-applies only the shift, to relabel whole
-rows).
+order of the 2m placed labels matters, so the state is (u, v), the ranks
+of the bottom-right and top-right labels.  A new column (u', v') over
+2m+2 labels shifts every old rank r to its position in {1..2m+2} minus
+{u', v'}, and the window (old column, new column) must reduce to a
+supported piece.
 
-The DP collapses the column-insertion tree onto the state "(u, v) =
-merged ranks of the rightmost column", which is exactly the
-corner-refined count table; one pass over the layers yields the whole
-count prefix.  The brute-force engine walks the unmerged tree (and can
-materialize the puzzles); it shares the kernel, so the definition-level
-check of both is the `reduce_window` filter in the tests.
+Zones.  With lo = min(u', v') and hi = max(u', v'), an old rank r lies in
+zone 0 (r < lo), zone 1 (lo <= r < hi-1) or zone 2 (r >= hi-1), and the
+shift adds exactly the zone number to r.  The window's piece is therefore
+fixed by the class (zone of u, zone of v, u < v, u' < v'): at most 36
+classes, of which 24 occur.  `_class_table` evaluates the window key on
+representative ranks of every class; that is the only copy of the window
+arithmetic, and both engines read the table.
+
+Layers.  The DP keeps the corner-count table of each column count.  A
+new cell (u', v') collects every old state in its allowed classes, and
+a class is a rectangle of old states (zone x zone) within one half of
+the table (u < v or u > v).  With a 2D prefix sum of each half, a
+rectangle is four lookups at the cuts 0, lo-1, hi-2, 2m, and the allowed
+rectangles of one orientation collapse to at most 18 signed lookups
+(`_corner_terms`).  A layer thus costs O(m^2) additions of big integers
+where the per-state scan cost O(m^4); it is the 2D form of the
+boustrophedon recurrence behind Entringer numbers.  One pass over the
+layers yields the whole count prefix, and once a layer is empty every
+later one is too.
+
+The brute-force engine walks the unmerged column-insertion tree (and can
+materialize the puzzles) with moves from `_targets`, which reads the same
+class table; the definition-level check of both engines is the
+`reduce_window` filter in the tests.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import accumulate, count, islice
+from operator import add
 from typing import Iterator, Mapping
 
 from .pieces import _PATTERN_ORDINAL, Puzzle, Support
 
 #: Ceiling for exhaustive enumeration; the tree has up to (2n+2)!/2 leaves.
 BRUTE_FORCE_BOUND = 5
+
+#: Ceiling on the number of puzzles `enumerate_puzzles` holds and sorts.
+LISTING_BOUND = 10 ** 6
 
 
 def _check_brute_bound(n: int, bound: int) -> None:
@@ -39,40 +56,103 @@ def _check_brute_bound(n: int, bound: int) -> None:
         raise ValueError(f"n={n} exceeds the brute-force bound {bound}")
 
 
-def _targets(u: int, v: int, m: int, mask: int) -> list[tuple[int, int]]:
-    """Rank pairs over 2m+2 labels that the column (u, v) over 2m labels
-    may move to, i.e. whose window reduces to a piece in the mask."""
+def _cls(zu: int, zv: int, lt: bool, up: bool) -> int:
+    """Index of the class (zone of u, zone of v, u < v, u' < v')."""
+    return ((up * 3 + zu) * 3 + zv) * 2 + lt
+
+
+def _class_table(mask: int) -> list[bool]:
+    """allowed[_cls(...)]: whether windows of that class reduce to a piece
+    in the mask.  Representatives: the new pair (3, 6) or (6, 3) over 8
+    labels, where the old ranks 1..6 fill zones 0, 1, 2 two apiece."""
     pattern = _PATTERN_ORDINAL
+    allowed = [False] * 36
+    for u2, v2 in ((3, 6), (6, 3)):
+        for u in range(1, 7):
+            for v in range(1, 7):
+                if u == v:
+                    continue
+                zu, zv = (u >= 3) + (u >= 5), (v >= 3) + (v >= 5)
+                au, av = u + zu, v + zv
+                # window: TL = av, TR = v2, BL = au, BR = u2
+                key = ((av > v2) << 5 | (av > au) << 4 | (av > u2) << 3
+                       | (v2 > au) << 2 | (v2 > u2) << 1 | (au > u2))
+                allowed[_cls(zu, zv, u < v, u2 < v2)] = bool(
+                    mask >> pattern[key] & 1)
+    return allowed
+
+
+def _targets(u: int, v: int, m: int,
+             allowed: list[bool]) -> list[tuple[int, int]]:
+    """Rank pairs over 2m+2 labels that the column (u, v) over 2m labels
+    may move to under the class table."""
     size = 2 * m + 2
     out = []
     for u2 in range(1, size + 1):
         for v2 in range(1, size + 1):
             if v2 == u2:
                 continue
-            if u2 < v2:
-                lo, hi1 = u2, v2 - 1
-            else:
-                lo, hi1 = v2, u2 - 1
-            au = u + (u >= lo) + (u >= hi1)
-            av = v + (v >= lo) + (v >= hi1)
-            # window: TL = av, TR = v2, BL = au, BR = u2
-            key = ((av > v2) << 5 | (av > au) << 4 | (av > u2) << 3
-                   | (v2 > au) << 2 | (v2 > u2) << 1 | (au > u2))
-            if mask >> pattern[key] & 1:
+            lo, hi1 = (u2, v2 - 1) if u2 < v2 else (v2, u2 - 1)
+            zu = (u >= lo) + (u >= hi1)
+            zv = (v >= lo) + (v >= hi1)
+            if allowed[_cls(zu, zv, u < v, u2 < v2)]:
                 out.append((u2, v2))
     return out
 
 
+def _corner_terms(allowed: list[bool], up: bool) -> list[tuple[int, int, int, int]]:
+    """The allowed rectangles of one orientation as terms (coef, half, i, j):
+    the new cell is the sum of coef * P[half][cut i][cut j] over the prefix
+    sums P of the two halves and the cuts (0, lo-1, hi-2, 2m).  Terms at
+    cut 0 vanish and are dropped."""
+    coefs: dict[tuple[int, int, int], int] = {}
+    for half in (0, 1):
+        for zu in range(3):
+            for zv in range(3):
+                if not allowed[_cls(zu, zv, half, up)]:
+                    continue
+                for i, j, sign in ((zu + 1, zv + 1, 1), (zu, zv + 1, -1),
+                                   (zu + 1, zv, -1), (zu, zv, 1)):
+                    if i and j:
+                        coefs[half, i, j] = coefs.get((half, i, j), 0) + sign
+    return [(c, half, i, j) for (half, i, j), c in coefs.items() if c]
+
+
+def _prefix_sums(layer: Mapping[tuple[int, int], int],
+                 size: int) -> list[list[list[int]]]:
+    """P[half][i][j]: the sum of layer[u, v] over u <= i, v <= j, with
+    half 1 holding the u < v states and half 0 the u > v ones."""
+    grids = [[[0] * (size + 1) for _ in range(size + 1)] for _ in (0, 1)]
+    for (u, v), cnt in layer.items():
+        grids[u < v][u][v] = cnt
+    for grid in grids:
+        for i in range(1, size + 1):
+            grid[i] = list(map(add, grid[i - 1], accumulate(grid[i])))
+    return grids
+
+
 def _layers(mask: int) -> Iterator[Mapping[tuple[int, int], int]]:
     """Corner-count tables after m = 1, 2, ... columns, each built from
-    the one before."""
+    the one before; only positive counts are stored."""
+    allowed = _class_table(mask)
+    orientations = [(up, _corner_terms(allowed, up)) for up in (True, False)]
     layer: Mapping[tuple[int, int], int] = {(1, 2): 1, (2, 1): 1}
     for m in count(1):
         yield layer
-        out: dict[tuple[int, int], int] = defaultdict(int)
-        for (u, v), cnt in layer.items():
-            for target in _targets(u, v, m, mask):
-                out[target] += cnt
+        if not layer:
+            continue  # a dead support stays dead
+        size = 2 * m
+        sums = _prefix_sums(layer, size)
+        out: dict[tuple[int, int], int] = {}
+        for lo in range(1, size + 2):
+            for hi in range(lo + 1, size + 3):
+                cuts = (0, lo - 1, hi - 2, size)
+                for up, terms in orientations:
+                    cell = 0
+                    for coef, half, i, j in terms:
+                        cell += coef * sums[half][cuts[i]][cuts[j]]
+                    if cell:
+                        out[(lo, hi) if up else (hi, lo)] = cell
         layer = out
 
 
@@ -141,21 +221,21 @@ def count_bruteforce(support: Support, n: int, bound: int = BRUTE_FORCE_BOUND) -
     path (the final level is summed in place rather than materialized).
     """
     _check_brute_bound(n, bound)
-    mask = support.mask
+    allowed = _class_table(support.mask)
     # Move lists for the states reachable at each column count.
-    allowed = {}
+    moves = {}
     states = {(1, 2), (2, 1)}
     for m in range(1, n + 1):
-        allowed[m] = {(u, v): _targets(u, v, m, mask) for u, v in states}
-        states = {t for targets in allowed[m].values() for t in targets}
-    last = allowed[n]
+        moves[m] = {(u, v): _targets(u, v, m, allowed) for u, v in states}
+        states = {t for targets in moves[m].values() for t in targets}
+    last = moves[n]
 
     def rec(u: int, v: int, m: int) -> int:
         if m == n:
             return len(last[(u, v)])
         total = 0
         nxt = m + 1
-        for u2, v2 in allowed[m][(u, v)]:
+        for u2, v2 in moves[m][(u, v)]:
             total += rec(u2, v2, nxt)
         return total
 
@@ -163,26 +243,34 @@ def count_bruteforce(support: Support, n: int, bound: int = BRUTE_FORCE_BOUND) -
 
 
 def _gen(top: tuple[int, ...], bottom: tuple[int, ...], n: int,
-         mask: int) -> Iterator[Puzzle]:
+         allowed: list[bool]) -> Iterator[Puzzle]:
     m = len(top)
     if m == n + 1:
         yield Puzzle(top, bottom)
         return
     u, v = bottom[-1], top[-1]
-    for u2, v2 in _targets(u, v, m, mask):
+    for u2, v2 in _targets(u, v, m, allowed):
         lo, hi1 = (u2, v2 - 1) if u2 < v2 else (v2, u2 - 1)
         yield from _gen(
             tuple(x + (x >= lo) + (x >= hi1) for x in top) + (v2,),
             tuple(y + (y >= lo) + (y >= hi1) for y in bottom) + (u2,),
-            n, mask)
+            n, allowed)
 
 
 def enumerate_puzzles(support: Support, n: int,
                       bound: int = BRUTE_FORCE_BOUND) -> list[Puzzle]:
-    """All supported n-puzzles, sorted lexicographically by (bottom, top)."""
+    """All supported n-puzzles, sorted lexicographically by (bottom, top).
+
+    The listing is held in memory, so it is refused (ValueError) when the
+    DP counts more than LISTING_BOUND puzzles.
+    """
     _check_brute_bound(n, bound)
-    mask = support.mask
-    found = list(_gen((2,), (1,), n, mask))
-    found.extend(_gen((1,), (2,), n, mask))
+    total = count_dp(support, n)
+    if total > LISTING_BOUND:
+        raise ValueError(f"{total} puzzles exceed the listing bound "
+                         f"{LISTING_BOUND}")
+    allowed = _class_table(support.mask)
+    found = list(_gen((2,), (1,), n, allowed))
+    found.extend(_gen((1,), (2,), n, allowed))
     found.sort(key=lambda p: (p.bottom, p.top))
     return found

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+from stdpuzzle import FULL_SUPPORT
 from stdpuzzle.cli import main
 
 
@@ -50,6 +51,16 @@ def test_enumerate(capsys):
     payload = run_json(capsys, "enumerate", "--support", "A2,A3", "--n", "2")
     assert payload["count"] == "5"
     assert payload["puzzles"][0] == "4 5 6 / 1 2 3"
+
+
+def test_enumerate_refuses_oversized_listing(capsys):
+    # Every filling counts under the full support: 12! puzzles at n=5,
+    # within the brute-force bound but far too many to hold and sort.
+    code, out, err = run(capsys, "enumerate", "--support", str(FULL_SUPPORT),
+                         "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "479001600" in err
 
 
 def test_pieces_csv(capsys):

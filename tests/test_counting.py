@@ -2,7 +2,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import permutations
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from stdpuzzle.counting import (corner_table, count_bruteforce,
                                 count_dp, count_prefix, enumerate_puzzles)
 from stdpuzzle.pieces import (FULL_SUPPORT, PIECES, Support, minimal_support,
                               reduce_window)
-from stdpuzzle.sequences import entringer, triangle_T
+from stdpuzzle.sequences import entringer, secant, triangle_T
 
 
 def naive_count(support, n):
@@ -25,6 +27,29 @@ def naive_count(support, n):
                for k in range(n)):
             total += 1
     return total
+
+
+def naive_corner_table(support, m):
+    """Definition-level corner table: every filling of the 2 x m grid that
+    passes the window filter, tallied by its (bottom-right, top-right)
+    labels, which over 1..2m are their own ranks."""
+    table = Counter()
+    for perm in permutations(range(1, 2 * m + 1)):
+        top, bottom = perm[:m], perm[m:]
+        if all(reduce_window(top[k], top[k + 1], bottom[k], bottom[k + 1]) in support
+               for k in range(m - 1)):
+            table[bottom[-1], top[-1]] += 1
+    return dict(table)
+
+
+def run_fresh(code, timeout):
+    """Run `code` in a fresh interpreter on this checkout; return stdout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=timeout)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
 
 
 NAMED = ["A2,A3", "A1,A2,A3", "A1,A2", "A1,B1,C1", "A1,A2,A4,A5", "B1", "",
@@ -82,12 +107,34 @@ def test_dp_builds_layers_iteratively():
             "from stdpuzzle.pieces import Support\n"
             "sys.setrecursionlimit(100)\n"
             "print(count_dp(Support.parse('A1'), 80))\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "1"
+    assert run_fresh(code, timeout=120) == "1"
+
+
+def test_dead_support_stops_early():
+    # B1 alone dies after one piece; the empty layers past that point
+    # must cost nothing, where prefix sums over 2m ranks would not.
+    code = ("from stdpuzzle.counting import corner_table, count_prefix\n"
+            "from stdpuzzle.pieces import Support\n"
+            "b1 = Support.parse('B1')\n"
+            "print(count_prefix(b1, 5000) == [1] + [0] * 4999,\n"
+            "      corner_table(b1, 5000).entries == {})\n")
+    assert run_fresh(code, timeout=60) == "True True"
+
+
+def test_deep_counts_match_closed_forms():
+    assert count_prefix(FULL_SUPPORT, 30)[-1] == factorial(62)
+    assert count_prefix(Support.parse("A1,A2,A3,A4,A5"), 30) == \
+        [secant(n + 1) for n in range(1, 31)]
+    assert count_prefix(Support.parse("A2,A3"), 60) == \
+        [comb(2 * n + 2, n + 1) // (n + 2) for n in range(1, 61)]
+
+
+def test_deep_corner_table_matches_entringer():
+    # Same relation as test_corner_examples, at n = 20 pieces.
+    n = 20
+    table = corner_table(Support.parse("A1,A2,A3,A4,A5"), n + 1)
+    for x in range(1, 2 * n + 3):
+        assert table.bottom_sum(x) == entringer(2 * n + 1, 2 * n + 2 - x)
 
 
 def test_bounds():
@@ -137,6 +184,19 @@ def test_corner_examples():
         for x in range(1, 2 * n + 3):
             assert count_corner_bottom(secantish, n, x) == \
                 entringer(2 * n + 1, 2 * n + 2 - x)
+
+
+@pytest.mark.parametrize("text", NAMED)
+def test_corner_table_matches_naive_oracle(text):
+    support = Support.parse(text)
+    assert corner_table(support, 4).entries == naive_corner_table(support, 4)
+
+
+@given(st.sets(st.sampled_from(range(24)), max_size=24), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_corner_table_equals_naive_oracle(ordinals, m):
+    support = Support(frozenset(PIECES[i] for i in ordinals))
+    assert corner_table(support, m).entries == naive_corner_table(support, m)
 
 
 def test_corner_rank_range():
