@@ -3,15 +3,20 @@
 Everything here is independent of the puzzle engines: these are the
 reference values the counting results get checked against.  Conventions at
 the boundary indices follow the combinatorial definitions: (-1)!! = 0!! = 1,
-T(n,0) = 0, t(n,n+1) = 0.
+T(n,0) = 0, t(n,n+1) = 0.  A generator raises ValueError outside its reach.
+
+registry_matches is one lookup in a table, built once per prefix length m,
+of every REGISTRY window of length m (shifted by MATCH_OFFSETS, scaled by
+MATCH_FACTORS where that keeps it integral), keyed by its values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional
 
 
@@ -43,12 +48,20 @@ def fibonacci(k: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
-def _entringer_row(n: int) -> tuple[int, ...]:
+_ROWS: dict[Callable, list[tuple[int, ...]]] = {}
+
+
+def _row(step: Callable, first: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Row n of the triangle with row 0 `first` and row n = step(row n-1, n),
+    built bottom-up; _ROWS[step] keeps every row built so far."""
+    rows = _ROWS.setdefault(step, [first])
+    while len(rows) <= n:
+        rows.append(step(rows[-1], len(rows)))
+    return rows[n]
+
+
+def _entringer_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
     # Boustrophedon: E(n,k) = E(n,k-1) + E(n-1,n-k), E(0,0) = 1, E(n,0) = 0.
-    if n == 0:
-        return (1,)
-    prev = _entringer_row(n - 1)
     row = [0]
     for k in range(1, n + 1):
         row.append(row[k - 1] + prev[n - k])
@@ -59,7 +72,7 @@ def entringer(n: int, k: int) -> int:
     """E(n,k): down-up permutations of n+1 elements starting with k+1."""
     if not 0 <= k <= n:
         raise ValueError(f"entringer index k={k} out of range 0..{n}")
-    return _entringer_row(n)[k]
+    return _row(_entringer_step, (1,), n)[k]
 
 
 def secant(k: int) -> int:
@@ -69,16 +82,9 @@ def secant(k: int) -> int:
     return entringer(2 * k, 2 * k)
 
 
-@lru_cache(maxsize=None)
-def _triangle_t_row(n: int) -> tuple[int, ...]:
+def _triangle_t_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
     # T(n,k) for k = 0..n+1 via T(n,k) = k * sum_{i=k-1}^{n} T(n-1,i).
-    if n == 0:
-        return (0, 1)
-    prev = _triangle_t_row(n - 1)
-    row = [0]
-    for k in range(1, n + 2):
-        row.append(k * sum(prev[max(k - 1, 0):n + 1]))
-    return tuple(row)
+    return (0,) + tuple(k * sum(prev[k - 1:]) for k in range(1, n + 2))
 
 
 def triangle_T(n: int, k: int) -> int:
@@ -93,24 +99,15 @@ def triangle_T(n: int, k: int) -> int:
         return 0
     closed = k * math.factorial(2 * n - k + 1) // (
         math.factorial(n - k + 1) << (n - k + 1))
-    by_recurrence = _triangle_t_row(n)[k]
+    by_recurrence = _row(_triangle_t_step, (0, 1), n)[k]
     if closed != by_recurrence:
         raise RuntimeError(f"T({n},{k}): closed form {closed} != recurrence {by_recurrence}")
     return closed
 
 
-@lru_cache(maxsize=None)
-def _ballot_row(n: int) -> tuple[int, ...]:
-    # t(n,k) for k = 0..n via t(n,k) = sum_{j<=k} t(n-1,j).
-    if n == 0:
-        return (1,)
-    prev = _ballot_row(n - 1)
-    row = []
-    acc = 0
-    for k in range(n + 1):
-        acc += prev[k] if k < n else 0
-        row.append(acc)
-    return tuple(row)
+def _ballot_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # t(n,k) for k = 0..n via t(n,k) = sum_{j<=k} t(n-1,j), with t(n-1,n) = 0.
+    return tuple(accumulate(prev + (0,)))
 
 
 def catalan_triangle_t(n: int, k: int) -> int:
@@ -120,20 +117,24 @@ def catalan_triangle_t(n: int, k: int) -> int:
     if k == n + 1:
         return 0
     closed = (n - k + 1) * math.comb(n + k, n) // (n + 1)
-    by_recurrence = _ballot_row(n)[k]
+    by_recurrence = _row(_ballot_step, (1,), n)[k]
     if closed != by_recurrence:
         raise RuntimeError(f"t({n},{k}): closed form {closed} != recurrence {by_recurrence}")
     return closed
 
 
-@lru_cache(maxsize=None)
-def lattice_L(n: int, bound: int = 12) -> int:
+#: Largest n that lattice_L and whirlpool_W evaluate.
+LATTICE_BOUND = 12
+WHIRLPOOL_BOUND = 5
+
+
+def lattice_L(n: int) -> int:
     """Paths from (2,...,2) to (0,...,0) in n coordinates, one unit step down
     at a time, every visited point having |p_i - p_{i+1}| <= 1."""
     if n < 1:
         raise ValueError("lattice_L needs n >= 1")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the lattice-path bound {bound}")
+    if n > LATTICE_BOUND:
+        raise ValueError(f"n={n} exceeds the lattice-path bound {LATTICE_BOUND}")
     target = (0,) * n
     memo: dict[tuple[int, ...], int] = {}
 
@@ -158,14 +159,13 @@ def lattice_L(n: int, bound: int = 12) -> int:
     return ways((2,) * n)
 
 
-@lru_cache(maxsize=None)
-def whirlpool_W(n: int, bound: int = 5) -> int:
+def whirlpool_W(n: int) -> int:
     """Permutations p of 1..2n with p[2k-1] < p[2k]  iff  p[2k] < p[2k+1],
     counted by pruned backtracking."""
     if n < 1:
         raise ValueError("whirlpool_W needs n >= 1")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the whirlpool bound {bound}")
+    if n > WHIRLPOOL_BOUND:
+        raise ValueError(f"n={n} exceeds the whirlpool bound {WHIRLPOOL_BOUND}")
     size = 2 * n
     used = [False] * (size + 1)
     prefix: list[int] = []
@@ -197,31 +197,18 @@ def whirlpool_W(n: int, bound: int = 5) -> int:
 
 def multinomial_all_pairs(m: int) -> int:
     """(2m)! / 2^m: arrangements of m labeled pairs, each pair ordered."""
-    if m < 1:
-        raise ValueError("multinomial_all_pairs needs m >= 1")
+    if m < 0:
+        raise ValueError("multinomial_all_pairs needs m >= 0")
     return math.factorial(2 * m) >> m
 
 
 @dataclass(frozen=True)
 class SequenceId:
-    """A named reference sequence with an optional index cap for slow oracles."""
+    """A named reference sequence; its generator raises ValueError past its reach."""
 
     name: str
     oeis: Optional[str]
     generator: Callable[[int], int]
-    max_index: Optional[int] = None
-
-    def terms(self, indices) -> Optional[list[int]]:
-        """Values at the given indices, or None if any index is out of reach."""
-        out = []
-        for i in indices:
-            if i < 0 or (self.max_index is not None and i > self.max_index):
-                return None
-            try:
-                out.append(self.generator(i))
-            except ValueError:
-                return None
-        return out
 
 
 REGISTRY: tuple[SequenceId, ...] = (
@@ -230,10 +217,9 @@ REGISTRY: tuple[SequenceId, ...] = (
     SequenceId("double_factorial_even", "A000165", lambda k: double_factorial(2 * k)),
     SequenceId("secant", "A000364", secant),
     SequenceId("fibonacci", "A000045", fibonacci),
-    SequenceId("lattice_smooth_paths", "A227656", lattice_L, max_index=12),
-    SequenceId("whirlpool", "A261683", whirlpool_W, max_index=5),
-    SequenceId("ordered_pair_arrangements", "A000680",
-               lambda k: multinomial_all_pairs(k) if k else 1),
+    SequenceId("lattice_smooth_paths", "A227656", lattice_L),
+    SequenceId("whirlpool", "A261683", whirlpool_W),
+    SequenceId("ordered_pair_arrangements", "A000680", multinomial_all_pairs),
     SequenceId("all_ones", "A000012", lambda k: 1),
     SequenceId("naturals", "A000027", lambda k: k),
     SequenceId("powers_of_two", "A000079", lambda k: 1 << k),
@@ -244,29 +230,39 @@ MATCH_FACTORS = (Fraction(1), Fraction(2), Fraction(4, 3), Fraction(3, 2))
 MATCH_OFFSETS = (0, 1, 2, 3)
 
 
-def registry_matches(prefix: list[int], start: int = 1) -> list[dict]:
-    """Identify a count prefix s_start, s_start+1, ... against the registry.
+@functools.lru_cache(maxsize=None)
+def _match_table(length: int) -> dict[tuple[int, ...], list[dict]]:
+    """Registry hits for prefixes of length `length`, keyed by the prefix."""
+    table: dict[tuple[int, ...], list[dict]] = {}
+    for seq in REGISTRY:
+        values = []
+        for i in range(1, length + max(MATCH_OFFSETS) + 1):
+            try:
+                values.append(seq.generator(i))
+            except ValueError:  # past the generator's reach
+                break
+        for offset in MATCH_OFFSETS:
+            window = values[offset:offset + length]
+            if len(window) < length:
+                continue
+            for factor in MATCH_FACTORS:
+                scaled = [t * factor.numerator for t in window]
+                if any(t % factor.denominator for t in scaled):
+                    continue
+                key = tuple(t // factor.denominator for t in scaled)
+                table.setdefault(key, []).append(
+                    {"name": seq.name, "oeis": seq.oeis, "offset": offset,
+                     "factor": str(factor), "label": "candidate match"})
+    for hits in table.values():
+        hits.sort(key=lambda h: (h["factor"] != "1", h["offset"], h["name"]))
+    return table
 
-    Tries every registered sequence shifted by 0..3 and scaled by the small
-    factor set; returns candidate matches ranked plain-first.
+
+def registry_matches(prefix: list[int]) -> list[dict]:
+    """Registry hits for a count prefix s_1, s_2, ..., ranked plain-first.
+
+    Each hit is a fresh dict, which the caller may change.
     """
     if not prefix:
         return []
-    hits = []
-    ns = range(start, start + len(prefix))
-    for seq in REGISTRY:
-        for offset in MATCH_OFFSETS:
-            terms = seq.terms([n + offset for n in ns])
-            if terms is None:
-                continue
-            for factor in MATCH_FACTORS:
-                if all(factor * t == s for t, s in zip(terms, prefix)):
-                    hits.append({
-                        "name": seq.name,
-                        "oeis": seq.oeis,
-                        "offset": offset,
-                        "factor": str(factor),
-                        "label": "candidate match",
-                    })
-    hits.sort(key=lambda h: (h["factor"] != "1", h["offset"], h["name"]))
-    return hits
+    return [dict(hit) for hit in _match_table(len(prefix)).get(tuple(prefix), ())]

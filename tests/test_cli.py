@@ -85,6 +85,8 @@ def test_transform(capsys):
 def test_seq(capsys):
     payload = run_json(capsys, "seq", "--name", "secant", "--upto", "4")
     assert payload["values"] == ["1", "1", "5", "61", "1385"]
+    payload = run_json(capsys, "seq", "--name", "multinomial_pairs", "--upto", "3")
+    assert payload["values"] == ["1", "1", "6", "90"]
 
 
 def test_theorem_aliases(capsys):

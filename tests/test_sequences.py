@@ -1,11 +1,17 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stdpuzzle.sequences import (catalan, catalan_triangle_t, double_factorial,
+from stdpuzzle.counting import count_prefix
+from stdpuzzle.pieces import Support
+from stdpuzzle.sequences import (MATCH_FACTORS, MATCH_OFFSETS, REGISTRY,
+                                 catalan, catalan_triangle_t, double_factorial,
                                  entringer, fibonacci, lattice_L,
                                  multinomial_all_pairs, registry_matches,
                                  secant, triangle_T, whirlpool_W)
+from stdpuzzle.theorems import SIMPLE_PIECES
+from test_counting import NAMED, run_fresh
 
 
 def brute_down_up_starting(length, first):
@@ -139,8 +145,35 @@ def test_whirlpool_W():
 
 
 def test_multinomial_all_pairs():
+    assert multinomial_all_pairs(0) == 1
+    assert multinomial_all_pairs(1) == 1
     assert multinomial_all_pairs(2) == 6
     assert multinomial_all_pairs(3) == 90
+    with pytest.raises(ValueError):
+        multinomial_all_pairs(-1)
+
+
+def boustrophedon_secant(k):
+    """S(k) = E(2k, 2k), the last entry of boustrophedon row 2k."""
+    row = [1]
+    for n in range(1, 2 * k + 1):
+        new = [0]
+        for j in range(n):
+            new.append(new[-1] + row[n - 1 - j])
+        row = new
+    return row[-1]
+
+
+def test_triangle_rows_build_without_recursion():
+    # A cold call deep into a triangle must not recurse once per row.
+    out = run_fresh(
+        "import sys\n"
+        "sys.setrecursionlimit(100)\n"
+        "from stdpuzzle.sequences import catalan_triangle_t, secant, triangle_T\n"
+        "triangle_T(150, 3)\n"
+        "catalan_triangle_t(150, 7)\n"
+        "print(secant(150))\n", timeout=60)
+    assert int(out) == boustrophedon_secant(150)
 
 
 def test_registry_matches_catalan():
@@ -159,3 +192,79 @@ def test_registry_matches_scaled():
 
 def test_registry_no_match():
     assert registry_matches([2, 6, 23, 106, 567, 3434]) == []
+
+
+_TERMS = {}
+
+
+def registry_term(seq, i):
+    """seq's term at index i, or None where the generator raises ValueError."""
+    if (seq.name, i) not in _TERMS:
+        try:
+            _TERMS[seq.name, i] = seq.generator(i)
+        except ValueError:
+            _TERMS[seq.name, i] = None
+    return _TERMS[seq.name, i]
+
+
+def naive_registry_matches(prefix):
+    """Reference: every registry sequence at every offset and factor,
+    compared term by term with Fraction products, ranked plain-first."""
+    if not prefix:
+        return []
+    hits = []
+    for seq in REGISTRY:
+        for offset in MATCH_OFFSETS:
+            terms = [registry_term(seq, n + offset) for n in range(1, len(prefix) + 1)]
+            if None in terms:
+                continue
+            for factor in MATCH_FACTORS:
+                if all(factor * t == s for t, s in zip(terms, prefix)):
+                    hits.append({"name": seq.name, "oeis": seq.oeis, "offset": offset,
+                                 "factor": str(factor), "label": "candidate match"})
+    hits.sort(key=lambda h: (h["factor"] != "1", h["offset"], h["name"]))
+    return hits
+
+
+def registry_windows(length):
+    """Every integral registry window of `length` terms at each offset and factor."""
+    for seq in REGISTRY:
+        for offset in MATCH_OFFSETS:
+            terms = [registry_term(seq, n + offset) for n in range(1, length + 1)]
+            if None in terms:
+                continue
+            for factor in MATCH_FACTORS:
+                scaled = [factor * t for t in terms]
+                if all(v.denominator == 1 for v in scaled):
+                    yield [int(v) for v in scaled]
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_registry_matches_every_window(length):
+    windows = list(registry_windows(length))
+    assert windows
+    for window in windows:
+        hits = registry_matches(window)
+        assert hits and hits == naive_registry_matches(window)
+
+
+@pytest.mark.parametrize("codes", NAMED + [str(row.support) for row in SIMPLE_PIECES])
+def test_registry_matches_family_prefixes(codes):
+    prefix = count_prefix(Support.parse(codes), 6)
+    for nmax in range(1, 7):
+        assert registry_matches(prefix[:nmax]) == naive_registry_matches(prefix[:nmax])
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=150), max_size=7))
+def test_registry_matches_equals_naive(prefix):
+    assert registry_matches(prefix) == naive_registry_matches(prefix)
+
+
+def test_registry_matches_returns_fresh_hits():
+    prefix = [2, 5, 14, 42]
+    hits = registry_matches(prefix)
+    hits[0]["kind"] = "registry"
+    hits[0]["name"] = "changed"
+    hits.append({})
+    assert registry_matches(prefix) == naive_registry_matches(prefix)
