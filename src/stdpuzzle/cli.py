@@ -20,34 +20,26 @@ from .counting import (count_bruteforce, count_corner_bottom,
                        count_corner_top, count_dp, enumerate_puzzles)
 from .identify import identify
 from .pieces import Support, piece_table, reduce_window
-from .sequences import (catalan, double_factorial, fibonacci, lattice_L,
-                        multinomial_all_pairs, secant, whirlpool_W)
+from .sequences import REGISTRY, double_factorial
 from .skeleton import export_dot, puzzle_skeleton
 from .transforms import f1, f2, f3, f12, f123
 from .verify import run_verification
 
-_SEQUENCES = {
-    "catalan": catalan,
-    "secant": secant,
-    "fibonacci": fibonacci,
-    "double_factorial": double_factorial,
-    "double_factorial_odd": lambda k: double_factorial(2 * k + 1),
-    "double_factorial_even": lambda k: double_factorial(2 * k),
-    "lattice": lattice_L,
-    "whirlpool": whirlpool_W,
-    "multinomial_pairs": multinomial_all_pairs,
-}
+# `seq` reads the registry under these old CLI names too.  Plain k!! is
+# served here alone: in the registry it would join every sweep's matches.
+_SEQUENCE_ALIASES = {"lattice": "lattice_smooth_paths",
+                     "multinomial_pairs": "ordered_pair_arrangements"}
 
 _THEOREM_FUNCS = {
-    "a123b": lambda a: theorems.a123_plus_b(a.i, a.n),
-    "a12b": lambda a: theorems.a12_plus_b(a.i, a.n),
-    "a123c": lambda a: theorems.a123_plus_c(a.i, a.n),
-    "a12c": lambda a: theorems.a12_plus_c(a.i, a.n),
-    "a23b": lambda a: theorems.a23_plus_b(a.i, a.n),
-    "a2b": lambda a: theorems.a2_plus_b(a.i, a.n),
-    "a12345b": lambda a: theorems.a12345_plus_b(a.i, a.n),
-    "simple_piece": lambda a: theorems.simple_piece_count(a.i, a.n),
-    "fibonacci": lambda a: theorems.fibonacci_family(a.n),
+    "a123b": theorems.a123_plus_b,
+    "a12b": theorems.a12_plus_b,
+    "a123c": theorems.a123_plus_c,
+    "a12c": theorems.a12_plus_c,
+    "a23b": theorems.a23_plus_b,
+    "a2b": theorems.a2_plus_b,
+    "a12345b": theorems.a12345_plus_b,
+    "simple_piece": theorems.simple_piece_count,
+    "fibonacci": lambda i, n: theorems.fibonacci_family(n),
 }
 
 # Interface aliases for the same formulas (--base picks the P/Q variant).
@@ -76,18 +68,6 @@ def _emit(args, payload, csv_rows=None) -> None:
         sys.stdout.write("\n")
 
 
-def _support(text: str) -> Support:
-    return Support.parse(text)
-
-
-def _nmax(args, default: int) -> int:
-    if args.nmax is not None:
-        return args.nmax
-    if args.global_nmax is not None:
-        return args.global_nmax
-    return default
-
-
 def cmd_pieces(args) -> int:
     rows = [{"code": p.code, "letter": p.letter, "category": p.category,
              "index": p.index,
@@ -107,7 +87,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    support = _support(args.support)
+    support = Support.parse(args.support)
     image = _MAPS[args.map](support)
     payload = {"map": args.map, "support": str(support), "image": str(image)}
     _emit(args, payload, csv_rows=[payload])
@@ -115,7 +95,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_skeleton(args) -> int:
-    support = _support(args.support)
+    support = Support.parse(args.support)
     graph = puzzle_skeleton(support, args.n)
     dot = export_dot(graph)
     payload = {"support": str(support), "n": args.n,
@@ -134,7 +114,7 @@ def cmd_skeleton(args) -> int:
 
 
 def cmd_count(args) -> int:
-    support = _support(args.support)
+    support = Support.parse(args.support)
     if args.corner and args.engine == "brute":
         raise ValueError("--corner reads the DP's corner table; "
                          "it cannot be combined with --engine brute")
@@ -160,7 +140,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    support = _support(args.support)
+    support = Support.parse(args.support)
     puzzles = enumerate_puzzles(support, args.n)
     payload = {"support": str(support), "n": args.n,
                "count": str(len(puzzles)),
@@ -170,10 +150,14 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_seq(args) -> int:
-    if args.name not in _SEQUENCES:
+    generators = {seq.name: seq.generator for seq in REGISTRY}
+    generators["double_factorial"] = double_factorial
+    for alias, name in _SEQUENCE_ALIASES.items():
+        generators[alias] = generators[name]
+    if args.name not in generators:
         raise ValueError(f"unknown sequence {args.name!r}; "
-                         f"choose from {', '.join(sorted(_SEQUENCES))}")
-    fn = _SEQUENCES[args.name]
+                         f"choose from {', '.join(sorted(generators))}")
+    fn = generators[args.name]
     values = [str(fn(k)) for k in range(args.start, args.upto + 1)]
     payload = {"name": args.name, "start": args.start, "upto": args.upto,
                "values": values}
@@ -189,7 +173,7 @@ def cmd_theorem(args) -> int:
         name = q_variant if (args.base or "P").upper() == "Q" else p_variant
     if name not in _THEOREM_FUNCS:
         raise ValueError(f"unknown theorem id {args.id!r}")
-    value = _THEOREM_FUNCS[name](args)
+    value = _THEOREM_FUNCS[name](args.i, args.n)
     payload = {"id": args.id, "resolved": name, "i": args.i, "n": args.n,
                "value": str(value)}
     _emit(args, payload, csv_rows=[payload])
@@ -217,7 +201,7 @@ def cmd_compose(args) -> int:
 
 def cmd_verify(args) -> int:
     scope = "all" if not args.claim else args.claim
-    report = run_verification(scope=scope, nmax=_nmax(args, 3))
+    report = run_verification(scope=scope, nmax=args.nmax)
     for result in report.results:
         print(f"[{result.status.upper():7s}] {result.claim}: {result.description}",
               file=sys.stderr)
@@ -229,8 +213,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    support = _support(args.support)
-    payload = identify(support, _nmax(args, 6), use_oeis=args.oeis,
+    support = Support.parse(args.support)
+    payload = identify(support, args.nmax, use_oeis=args.oeis,
                        cache_dir=args.cache_dir)
     _emit(args, payload, csv_rows=payload["matches"] or
           [{"name": "", "oeis": "", "offset": "", "factor": "",
@@ -240,7 +224,7 @@ def cmd_identify(args) -> int:
 
 def cmd_families(args) -> int:
     xs = [int(tok) for tok in args.x.split(",")] if args.x else None
-    rows = families_mod.sweep(args.kind, _nmax(args, 4),
+    rows = families_mod.sweep(args.kind, args.nmax,
                               include_open=args.include_open, xs=xs)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -268,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stdpuzzle",
         description="enumerate, count, and verify standard puzzles")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--cache-dir", default=None,
-                        help="cache directory for OEIS lookups")
-    parser.add_argument("--oeis", action="store_true",
-                        help="allow network lookups against OEIS")
-    parser.add_argument("--nmax", dest="global_nmax", type=int, default=None,
-                        help="default n ceiling for verify/identify/families")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("pieces", help="list the 24 standard pieces")
@@ -325,15 +303,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--claim", action="append", default=None,
                    help="claim id (repeatable); default all")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=int, default=3)
 
     p = sub.add_parser("identify", help="name a support's count sequence")
     p.add_argument("--support", required=True)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--oeis", action="store_true",
+                   help="allow network lookups against OEIS")
+    p.add_argument("--cache-dir", default=None,
+                   help="cache directory for OEIS lookups")
 
     p = sub.add_parser("families", help="sweep converter families")
     p.add_argument("--kind", type=int, choices=(1, 2), required=True)
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--out", default=None)
     p.add_argument("--include-open", action="store_true",
                    help="include the refinement-free family 10, flagged")

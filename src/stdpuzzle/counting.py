@@ -11,9 +11,10 @@ Zones.  With lo = min(u', v') and hi = max(u', v'), an old rank r lies in
 zone 0 (r < lo), zone 1 (lo <= r < hi-1) or zone 2 (r >= hi-1), and the
 shift adds exactly the zone number to r.  The window's piece is therefore
 fixed by the class (zone of u, zone of v, u < v, u' < v'): at most 36
-classes, of which 24 occur.  `_class_table` evaluates the window key on
-representative ranks of every class; that is the only copy of the window
-arithmetic, and both engines read the table.
+classes, of which 24 occur.  `_CLASS_PIECE`, built once at import by
+evaluating the window key on representative ranks of every class, holds
+each class's piece; it is the DP's only copy of the window arithmetic, and
+`_class_table(mask)` reads it to mark the classes a support allows.
 
 Layers.  The DP keeps the corner-count table of each column count.  A
 new cell (u', v') collects every old state in its allowed classes, and
@@ -28,9 +29,12 @@ layers yields the whole count prefix, and once a layer is empty every
 later one is too.
 
 The brute-force engine walks the unmerged column-insertion tree (and can
-materialize the puzzles) with moves from `_targets`, which reads the same
-class table; the definition-level check of both engines is the
-`reduce_window` filter in the tests.
+materialize the puzzles).  `_moves` builds its moves once per (m,
+reachable state): it relabels the old column into the new label set and
+asks `reduce_window` whether the window is a supported piece.  It never
+reads the class table, so the two engines share only `Support` and the
+piece definitions; the definition-level check of both is the
+`reduce_window` filter over every grid filling in the tests.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
 from operator import add
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
-from .pieces import _PATTERN_ORDINAL, Puzzle, Support
+from .pieces import _PATTERN_ORDINAL, Puzzle, Support, reduce_window
 
 #: Ceiling for exhaustive enumeration; the tree has up to (2n+2)!/2 leaves.
 BRUTE_FORCE_BOUND = 5
@@ -61,12 +65,11 @@ def _cls(zu: int, zv: int, lt: bool, up: bool) -> int:
     return ((up * 3 + zu) * 3 + zv) * 2 + lt
 
 
-def _class_table(mask: int) -> list[bool]:
-    """allowed[_cls(...)]: whether windows of that class reduce to a piece
-    in the mask.  Representatives: the new pair (3, 6) or (6, 3) over 8
-    labels, where the old ranks 1..6 fill zones 0, 1, 2 two apiece."""
-    pattern = _PATTERN_ORDINAL
-    allowed = [False] * 36
+def _class_pieces() -> list[Optional[int]]:
+    """The piece ordinal of each class, None for the 12 classes that never
+    occur.  Representatives: the new pair (3, 6) or (6, 3) over 8 labels,
+    where the old ranks 1..6 fill zones 0, 1, 2 two apiece."""
+    ordinals: list[Optional[int]] = [None] * 36
     for u2, v2 in ((3, 6), (6, 3)):
         for u in range(1, 7):
             for v in range(1, 7):
@@ -77,27 +80,17 @@ def _class_table(mask: int) -> list[bool]:
                 # window: TL = av, TR = v2, BL = au, BR = u2
                 key = ((av > v2) << 5 | (av > au) << 4 | (av > u2) << 3
                        | (v2 > au) << 2 | (v2 > u2) << 1 | (au > u2))
-                allowed[_cls(zu, zv, u < v, u2 < v2)] = bool(
-                    mask >> pattern[key] & 1)
-    return allowed
+                ordinals[_cls(zu, zv, u < v, u2 < v2)] = _PATTERN_ORDINAL[key]
+    return ordinals
 
 
-def _targets(u: int, v: int, m: int,
-             allowed: list[bool]) -> list[tuple[int, int]]:
-    """Rank pairs over 2m+2 labels that the column (u, v) over 2m labels
-    may move to under the class table."""
-    size = 2 * m + 2
-    out = []
-    for u2 in range(1, size + 1):
-        for v2 in range(1, size + 1):
-            if v2 == u2:
-                continue
-            lo, hi1 = (u2, v2 - 1) if u2 < v2 else (v2, u2 - 1)
-            zu = (u >= lo) + (u >= hi1)
-            zv = (v >= lo) + (v >= hi1)
-            if allowed[_cls(zu, zv, u < v, u2 < v2)]:
-                out.append((u2, v2))
-    return out
+_CLASS_PIECE = _class_pieces()
+
+
+def _class_table(mask: int) -> list[bool]:
+    """allowed[_cls(...)]: whether windows of that class reduce to a piece
+    in the mask."""
+    return [p is not None and bool(mask >> p & 1) for p in _CLASS_PIECE]
 
 
 def _corner_terms(allowed: list[bool], up: bool) -> list[tuple[int, int, int, int]]:
@@ -214,6 +207,37 @@ def count_corner_top(support: Support, n: int, x: int) -> int:
     return corner_table(support, n + 1).top_sum(x)
 
 
+def _relabel(u2: int, v2: int, size: int) -> list[int]:
+    """new[r - 1]: the label over 1..size that old rank r takes when the
+    column (u2, v2) joins, i.e. the r-th of 1..size without u2 and v2."""
+    return [r for r in range(1, size + 1) if r != u2 and r != v2]
+
+
+def _moves(support: Support, n: int) -> list[dict]:
+    """moves[m][(u, v)]: the columns (u', v') over 2m+2 labels that may
+    follow the column (u, v) over 2m labels, for m = 1..n and the states
+    reachable after m columns.  Each move is checked by `reduce_window`
+    on the relabelled window, not by the DP's class table."""
+    members = support.members
+    moves: list[dict] = [{}]
+    states = {(1, 2), (2, 1)}
+    for m in range(1, n + 1):
+        size = 2 * m + 2
+        layer = {state: [] for state in states}
+        for u2 in range(1, size + 1):
+            for v2 in range(1, size + 1):
+                if u2 == v2:
+                    continue
+                new = _relabel(u2, v2, size)
+                for (u, v), targets in layer.items():
+                    # window: TL = old top, TR = v2, BL = old bottom, BR = u2
+                    if reduce_window(new[v - 1], v2, new[u - 1], u2) in members:
+                        targets.append((u2, v2))
+        moves.append(layer)
+        states = {t for targets in layer.values() for t in targets}
+    return moves
+
+
 def count_bruteforce(support: Support, n: int, bound: int = BRUTE_FORCE_BOUND) -> int:
     """Ground-truth count by walking the whole column-insertion tree.
 
@@ -221,13 +245,7 @@ def count_bruteforce(support: Support, n: int, bound: int = BRUTE_FORCE_BOUND) -
     path (the final level is summed in place rather than materialized).
     """
     _check_brute_bound(n, bound)
-    allowed = _class_table(support.mask)
-    # Move lists for the states reachable at each column count.
-    moves = {}
-    states = {(1, 2), (2, 1)}
-    for m in range(1, n + 1):
-        moves[m] = {(u, v): _targets(u, v, m, allowed) for u, v in states}
-        states = {t for targets in moves[m].values() for t in targets}
+    moves = _moves(support, n)
     last = moves[n]
 
     def rec(u: int, v: int, m: int) -> int:
@@ -243,18 +261,15 @@ def count_bruteforce(support: Support, n: int, bound: int = BRUTE_FORCE_BOUND) -
 
 
 def _gen(top: tuple[int, ...], bottom: tuple[int, ...], n: int,
-         allowed: list[bool]) -> Iterator[Puzzle]:
+         moves: list[dict]) -> Iterator[Puzzle]:
     m = len(top)
     if m == n + 1:
         yield Puzzle(top, bottom)
         return
-    u, v = bottom[-1], top[-1]
-    for u2, v2 in _targets(u, v, m, allowed):
-        lo, hi1 = (u2, v2 - 1) if u2 < v2 else (v2, u2 - 1)
-        yield from _gen(
-            tuple(x + (x >= lo) + (x >= hi1) for x in top) + (v2,),
-            tuple(y + (y >= lo) + (y >= hi1) for y in bottom) + (u2,),
-            n, allowed)
+    for u2, v2 in moves[m][bottom[-1], top[-1]]:
+        new = _relabel(u2, v2, 2 * m + 2)
+        yield from _gen(tuple(new[x - 1] for x in top) + (v2,),
+                        tuple(new[y - 1] for y in bottom) + (u2,), n, moves)
 
 
 def enumerate_puzzles(support: Support, n: int,
@@ -269,8 +284,8 @@ def enumerate_puzzles(support: Support, n: int,
     if total > LISTING_BOUND:
         raise ValueError(f"{total} puzzles exceed the listing bound "
                          f"{LISTING_BOUND}")
-    allowed = _class_table(support.mask)
-    found = list(_gen((2,), (1,), n, allowed))
-    found.extend(_gen((1,), (2,), n, allowed))
+    moves = _moves(support, n)
+    found = list(_gen((2,), (1,), n, moves))
+    found.extend(_gen((1,), (2,), n, moves))
     found.sort(key=lambda p: (p.bottom, p.top))
     return found

@@ -17,6 +17,7 @@ cached prefix instead of recounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Optional
 
 from .counting import count_prefix
@@ -81,11 +82,8 @@ class FamilySpec:
 
 
 def _subsets() -> list[frozenset]:
-    out = []
-    for bits in range(64):
-        out.append(frozenset(i for i in range(1, 7) if bits >> (i - 1) & 1))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    """The 64 converter subsets by size, then lexicographically."""
+    return [frozenset(c) for r in range(7) for c in combinations(range(1, 7), r)]
 
 
 def iter_family_specs(kind: int, include_open: bool = False,

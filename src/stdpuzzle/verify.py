@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from . import theorems
 from .counting import (corner_table, count_bruteforce, count_dp,
@@ -78,6 +80,24 @@ def _vectors(claim, description, n_range, computed, expected, detail="") -> Clai
                        list(computed), list(expected), detail)
 
 
+def _formula_claim(claim: str, description: str, cap: int, cases,
+                   lo: int = 1) -> Callable[[int], ClaimResult]:
+    """A claim that each case (support, formula, first n) counts
+    formula(n) for n = first n..min(nmax, cap); skipped when that cap
+    falls below lo."""
+    def run(nmax: int) -> ClaimResult:
+        hi = min(nmax, cap)
+        if hi < lo:
+            return ClaimResult(claim, description, "-", STATUS_SKIPPED, [], [],
+                               f"needs nmax >= {lo}")
+        computed, expected = [], []
+        for support, formula, first in cases:
+            computed += count_prefix(support, hi)[first - 1:]
+            expected += [formula(n) for n in range(first, hi + 1)]
+        return _vectors(claim, description, f"{lo}..{hi}", computed, expected)
+    return run
+
+
 def _count_down_up(length: int) -> int:
     """Brute-force count of permutations of 1..length with pattern
     down, up, down, ... (pruned backtracking; no recurrences)."""
@@ -118,25 +138,6 @@ def _claim_pieces(nmax: int) -> ClaimResult:
                     "-", computed, [24, 24, True, True])
 
 
-def _claim_catalan(nmax: int) -> ClaimResult:
-    hi = min(nmax, 8)
-    s = Support.parse("A2,A3")
-    return _vectors("catalan", "counts for {A2,A3} are the Catalan numbers",
-                    f"1..{hi}", count_prefix(s, hi),
-                    [catalan(n + 1) for n in range(1, hi + 1)])
-
-
-def _claim_double_factorial(nmax: int) -> ClaimResult:
-    hi = min(nmax, 8)
-    a123, a12 = Support.parse("A1,A2,A3"), Support.parse("A1,A2")
-    computed = count_prefix(a123, hi) + count_prefix(a12, hi)
-    expected = [double_factorial(2 * n + 1) for n in range(1, hi + 1)] + \
-        [double_factorial(2 * n) for n in range(1, hi + 1)]
-    return _vectors("double-factorial",
-                    "{A1,A2,A3} counts (2n+1)!!, {A1,A2} counts (2n)!!",
-                    f"1..{hi}", computed, expected)
-
-
 def _claim_secant(nmax: int) -> ClaimResult:
     hi = min(nmax, 5)
     s = Support.parse("A1,A2,A3,A4,A5")
@@ -148,26 +149,6 @@ def _claim_secant(nmax: int) -> ClaimResult:
         expected.append(secant(k))
     return _vectors("secant", "counts for {A1..A5} are the secant numbers "
                     "(confirmed by brute-force down-up permutation counts)",
-                    f"1..{hi}", computed, expected)
-
-
-def _claim_lattice(nmax: int) -> ClaimResult:
-    hi = min(nmax, 6)
-    s = Support.parse("A1,A2,A4,A5")
-    return _vectors("lattice-paths",
-                    "counts for {A1,A2,A4,A5} are the smooth lattice-path numbers",
-                    f"1..{hi}", count_prefix(s, hi),
-                    [lattice_L(n + 1) for n in range(1, hi + 1)])
-
-
-def _claim_fibonacci(nmax: int) -> ClaimResult:
-    hi = min(nmax, 8)
-    computed, expected = [], []
-    for text in ("A1,B1,C1", "B1,C1,D1"):
-        computed += count_prefix(Support.parse(text), hi)
-        expected += [fibonacci(n + 3) for n in range(1, hi + 1)]
-    return _vectors("fibonacci",
-                    "counts for {A1,B1,C1} and its flip are F(n+3)",
                     f"1..{hi}", computed, expected)
 
 
@@ -185,17 +166,6 @@ def _claim_fibonacci_alt(nmax: int) -> ClaimResult:
                        f"1..{hi}", STATUS_FLAGGED, computed, alt,
                        "known discrepancy in the published variant: counts "
                        "match F(n+3) (see claim 'fibonacci'), not F(n+2)")
-
-
-def _claim_linear_family(nmax: int) -> ClaimResult:
-    hi = min(nmax, 6)
-    computed, expected = [], []
-    for text in ("A1,B1,D1", "A1,C1,D1"):
-        computed += count_prefix(Support.parse(text), hi)
-        expected += [n + 2 for n in range(1, hi + 1)]
-    return _vectors("linear-family",
-                    "counts for {A1,B1,D1} and its flip are n+2",
-                    f"1..{hi}", computed, expected)
 
 
 def _claim_corner_refinements(nmax: int) -> ClaimResult:
@@ -256,17 +226,6 @@ def _claim_hypergeometric(nmax: int) -> ClaimResult:
                     f"1..{hi}", computed, expected)
 
 
-def _claim_simple_piece_table(nmax: int) -> ClaimResult:
-    hi = min(nmax, 4)
-    computed, expected = [], []
-    for row in theorems.SIMPLE_PIECES:
-        computed += count_prefix(row.support, hi)
-        expected += [row.count(n) for n in range(1, hi + 1)]
-    return _vectors("simple-piece-table",
-                    "all 20 tabulated simple-piece formulas match the engine",
-                    f"1..{hi}", computed, expected)
-
-
 def _claim_simple_pieces(nmax: int) -> ClaimResult:
     per_class = [len(all_simple_pieces(i)) for i in (1, 2, 3, 4)]
     ones = all_simple_pieces(1)
@@ -289,42 +248,6 @@ def _claim_simple_pieces(nmax: int) -> ClaimResult:
                     "edges and 8 with 4; the consistent drawing statistic "
                     "gives 8 and 9 there (middle entries transposed, same "
                     "multiset and total)")
-
-
-def _claim_converter_closed_forms(nmax: int) -> ClaimResult:
-    hi = min(nmax, 4)
-    computed, expected = [], []
-
-    def run(fn, codes, i, lo=1):
-        computed.extend(count_prefix(Support.parse(codes), hi)[lo - 1:])
-        expected.extend(fn(i, n) for n in range(lo, hi + 1))
-
-    for i in range(1, 7):
-        run(theorems.a123_plus_b, f"A1,A2,A3,B{i}", i)
-        run(theorems.a12_plus_b, f"A1,A2,B{i}", i)
-        run(theorems.a123_plus_c, f"A1,A2,A3,C{i}", i)
-        run(theorems.a12_plus_c, f"A1,A2,C{i}", i, lo=1 if i == 3 else 2)
-        run(theorems.a23_plus_b, f"A2,A3,B{i}", i)
-        run(theorems.a2_plus_b, f"A2,B{i}", i)
-    return _vectors("converter-closed-forms",
-                    "every one-converter closed form matches the engine",
-                    f"1..{hi}", computed, expected)
-
-
-def _claim_entringer_closed_forms(nmax: int) -> ClaimResult:
-    hi = min(nmax, 3)
-    if hi < 2:
-        return ClaimResult("entringer-closed-forms",
-                           "{A1..A5}+B_i Entringer sums match the engine",
-                           "-", STATUS_SKIPPED, [], [],
-                           "needs nmax >= 2")
-    computed, expected = [], []
-    for i in range(1, 7):
-        computed += count_prefix(Support.parse(f"A1,A2,A3,A4,A5,B{i}"), hi)[1:]
-        expected += [theorems.a12345_plus_b(i, n) for n in range(2, hi + 1)]
-    return _vectors("entringer-closed-forms",
-                    "{A1..A5}+B_i Entringer sums match the engine",
-                    f"2..{hi}", computed, expected)
 
 
 def _claim_converter_images(nmax: int) -> ClaimResult:
@@ -433,15 +356,6 @@ def _claim_flip_pair(nmax: int) -> ClaimResult:
                     f"n<={hi}", [all(checks), len(checks)], [True, len(checks)])
 
 
-def _claim_whirlpool(nmax: int) -> ClaimResult:
-    hi = min(nmax, 3)
-    s = Support.parse("A1,A4,B3,B6,C3,C6,D1,D4")
-    return _vectors("whirlpool",
-                    "the vortex-style support counts whirlpool permutations",
-                    f"1..{hi}", count_prefix(s, hi),
-                    [whirlpool_W(n + 1) for n in range(1, hi + 1)])
-
-
 def _claim_product_identity(nmax: int) -> ClaimResult:
     hi = min(nmax, 3)
     checks = failures = 0
@@ -491,28 +405,65 @@ def _claim_engine_equivalence(nmax: int) -> ClaimResult:
                     f"1..{hi}", computed, expected)
 
 
+_CONVERTER_CASES = [
+    (Support.parse(codes.format(i)), partial(formula, i), first)
+    for i in range(1, 7)
+    for formula, codes, first in (
+        (theorems.a123_plus_b, "A1,A2,A3,B{}", 1),
+        (theorems.a12_plus_b, "A1,A2,B{}", 1),
+        (theorems.a123_plus_c, "A1,A2,A3,C{}", 1),
+        (theorems.a12_plus_c, "A1,A2,C{}", 1 if i == 3 else 2),
+        (theorems.a23_plus_b, "A2,A3,B{}", 1),
+        (theorems.a2_plus_b, "A2,B{}", 1))]
+
 CLAIMS = {
     "pieces": _claim_pieces,
-    "catalan": _claim_catalan,
-    "double-factorial": _claim_double_factorial,
+    "catalan": _formula_claim(
+        "catalan", "counts for {A2,A3} are the Catalan numbers", 8,
+        [(Support.parse("A2,A3"), lambda n: catalan(n + 1), 1)]),
+    "double-factorial": _formula_claim(
+        "double-factorial", "{A1,A2,A3} counts (2n+1)!!, {A1,A2} counts (2n)!!", 8,
+        [(Support.parse("A1,A2,A3"), lambda n: double_factorial(2 * n + 1), 1),
+         (Support.parse("A1,A2"), lambda n: double_factorial(2 * n), 1)]),
     "secant": _claim_secant,
-    "lattice-paths": _claim_lattice,
-    "fibonacci": _claim_fibonacci,
+    "lattice-paths": _formula_claim(
+        "lattice-paths",
+        "counts for {A1,A2,A4,A5} are the smooth lattice-path numbers", 6,
+        [(Support.parse("A1,A2,A4,A5"), lambda n: lattice_L(n + 1), 1)]),
+    "fibonacci": _formula_claim(
+        "fibonacci", "counts for {A1,B1,C1} and its flip are F(n+3)", 8,
+        [(Support.parse(codes), lambda n: fibonacci(n + 3), 1)
+         for codes in ("A1,B1,C1", "B1,C1,D1")]),
     "fibonacci-alt-offset": _claim_fibonacci_alt,
-    "linear-family": _claim_linear_family,
+    "linear-family": _formula_claim(
+        "linear-family", "counts for {A1,B1,D1} and its flip are n+2", 6,
+        [(Support.parse(codes), lambda n: n + 2, 1)
+         for codes in ("A1,B1,D1", "A1,C1,D1")]),
     "corner-refinements": _claim_corner_refinements,
     "corner-entringer": _claim_corner_entringer,
     "hypergeometric-sums": _claim_hypergeometric,
-    "simple-piece-table": _claim_simple_piece_table,
+    "simple-piece-table": _formula_claim(
+        "simple-piece-table",
+        "all 20 tabulated simple-piece formulas match the engine", 4,
+        [(row.support, row.count, 1) for row in theorems.SIMPLE_PIECES]),
     "simple-pieces": _claim_simple_pieces,
-    "converter-closed-forms": _claim_converter_closed_forms,
-    "entringer-closed-forms": _claim_entringer_closed_forms,
+    "converter-closed-forms": _formula_claim(
+        "converter-closed-forms",
+        "every one-converter closed form matches the engine", 4,
+        _CONVERTER_CASES),
+    "entringer-closed-forms": _formula_claim(
+        "entringer-closed-forms",
+        "{A1..A5}+B_i Entringer sums match the engine", 3,
+        [(Support.parse(f"A1,A2,A3,A4,A5,B{i}"),
+          partial(theorems.a12345_plus_b, i), 2) for i in range(1, 7)], lo=2),
     "converter-images": _claim_converter_images,
     "q-partition-lemma": _claim_q_lemma,
     "refinement-table": _claim_refinement_table,
     "composition": _claim_composition,
     "flip-pair-identity": _claim_flip_pair,
-    "whirlpool": _claim_whirlpool,
+    "whirlpool": _formula_claim(
+        "whirlpool", "the vortex-style support counts whirlpool permutations", 3,
+        [(Support.parse("A1,A4,B3,B6,C3,C6,D1,D4"), lambda n: whirlpool_W(n + 1), 1)]),
     "product-identity": _claim_product_identity,
     "flip-invariance": _claim_flip_invariance,
     "engine-equivalence": _claim_engine_equivalence,

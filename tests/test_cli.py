@@ -2,8 +2,12 @@ import csv
 import io
 import json
 
+import pytest
+
 from stdpuzzle import FULL_SUPPORT
+from stdpuzzle import identify as identify_mod
 from stdpuzzle.cli import main
+from stdpuzzle.sequences import REGISTRY
 
 
 def run(capsys, *argv):
@@ -87,6 +91,30 @@ def test_seq(capsys):
     assert payload["values"] == ["1", "1", "5", "61", "1385"]
     payload = run_json(capsys, "seq", "--name", "multinomial_pairs", "--upto", "3")
     assert payload["values"] == ["1", "1", "6", "90"]
+    # (2k-1)!!, A001147, as in the registry that identify reports from
+    payload = run_json(capsys, "seq", "--name", "double_factorial_odd", "--upto", "3")
+    assert payload["values"] == ["1", "1", "3", "15"]
+    payload = run_json(capsys, "seq", "--name", "lattice", "--start", "1",
+                       "--upto", "4")
+    assert payload["name"] == "lattice"
+    assert payload["values"] == ["1", "4", "44", "896"]
+    payload = run_json(capsys, "seq", "--name", "double_factorial", "--upto", "5")
+    assert payload["values"] == ["1", "1", "2", "3", "8", "15"]
+
+
+def test_seq_reads_registry(capsys):
+    for seq in REGISTRY:
+        try:
+            expected = [str(seq.generator(k)) for k in range(1, 7)]
+        except ValueError:  # past the generator's reach: a usage error
+            expected = None
+        code, out, err = run(capsys, "seq", "--name", seq.name, "--start", "1",
+                             "--upto", "6")
+        if expected is None:
+            assert code == 2 and out == "" and "error" in err, seq.name
+        else:
+            assert code == 0, seq.name
+            assert json.loads(out)["values"] == expected, seq.name
 
 
 def test_theorem_aliases(capsys):
@@ -146,6 +174,16 @@ def test_verify_flagged_claim_is_not_failure(capsys):
     assert payload["summary"]["flagged"] == 1
 
 
+def test_verify_skips_claim_below_its_first_n(capsys):
+    code, out, _ = run(capsys, "verify", "--claim", "entringer-closed-forms",
+                       "--nmax", "1")
+    assert code == 0
+    claim = json.loads(out)["claims"][0]
+    assert claim["status"] == "skipped"
+    assert claim["detail"] == "needs nmax >= 2"
+    assert claim["n_range"] == "-" and claim["computed"] == []
+
+
 def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "--claim", "nonsense")
     assert code == 2 and "unknown claim" in err
@@ -154,6 +192,33 @@ def test_verify_unknown_claim(capsys):
 def test_identify(capsys):
     payload = run_json(capsys, "identify", "--support", "A2,A3", "--nmax", "6")
     assert any(m["name"] == "catalan" for m in payload["matches"])
+
+
+def test_identify_oeis_flags(tmp_path, monkeypatch, capsys):
+    # The README's example, with the network stubbed away.
+    monkeypatch.setattr(
+        identify_mod, "_http_get",
+        lambda url, params, timeout: {"results": [{"number": 108,
+                                                   "name": "Catalan numbers"}]})
+    payload = run_json(capsys, "identify", "--support", "A2,A3", "--nmax", "6",
+                       "--oeis", "--cache-dir", str(tmp_path))
+    assert {"name": "Catalan numbers", "oeis": "A000108", "offset": None,
+            "factor": None, "label": "candidate match",
+            "kind": "oeis"} in payload["matches"]
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+def test_nmax_belongs_to_each_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--nmax", "3", "verify", "--claim", "catalan"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    claim = run_json(capsys, "verify", "--claim", "catalan")["claims"][0]
+    assert claim["n_range"] == "1..3"
+    assert run_json(capsys, "identify", "--support", "A2,A3")["nmax"] == 6
+    code, out, _ = run(capsys, "families", "--kind", "1", "--x", "16")
+    assert code == 0
+    assert len(json.loads(out.splitlines()[0])["prefix"]) == 4
 
 
 def test_families_csv(tmp_path, capsys):

@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stdpuzzle import counting
 from stdpuzzle.counting import (corner_table, count_bruteforce,
                                 count_corner_bottom, count_corner_top,
                                 count_dp, count_prefix, enumerate_puzzles)
-from stdpuzzle.pieces import (FULL_SUPPORT, PIECES, Support, minimal_support,
-                              reduce_window)
+from stdpuzzle.pieces import (FULL_SUPPORT, PIECES, Support, is_supported,
+                              minimal_support, reduce_window)
 from stdpuzzle.sequences import entringer, secant, triangle_T
 
 
@@ -65,6 +66,20 @@ def test_engines_match_naive_oracle(text, n):
     assert count_dp(support, n) == expected
     assert count_prefix(support, n) == [naive_count(support, k)
                                         for k in range(1, n)] + [expected]
+
+
+@pytest.mark.parametrize("text", NAMED)
+def test_brute_force_does_not_read_the_class_table(text, monkeypatch):
+    # The DP's class table is switched off; the brute force and the
+    # listing must still agree with the reduce_window filter.
+    support = Support.parse(text)
+    expected = [naive_count(support, n) for n in (1, 2, 3)]
+    monkeypatch.setattr(counting, "_class_table", lambda mask: [False] * 36)
+    assert [count_bruteforce(support, n) for n in (1, 2, 3)] == expected
+    listed = enumerate_puzzles(support, 3)
+    assert len(listed) == expected[-1]
+    assert all(is_supported(p, support) for p in listed)
+    assert len(set(listed)) == len(listed)
 
 
 def test_full_support_counts_every_filling():
