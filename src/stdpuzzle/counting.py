@@ -12,9 +12,9 @@ zone 0 (r < lo), zone 1 (lo <= r < hi-1) or zone 2 (r >= hi-1), and the
 shift adds exactly the zone number to r.  The window's piece is therefore
 fixed by the class (zone of u, zone of v, u < v, u' < v'): at most 36
 classes, of which 24 occur.  `_CLASS_PIECE`, built once at import by
-evaluating the window key on representative ranks of every class, holds
-each class's piece; it is the DP's only copy of the window arithmetic, and
-`_class_table(mask)` reads it to mark the classes a support allows.
+reducing the window on representative ranks of every class with
+`reduce_window`, holds each class's piece, and `_class_table(mask)` reads
+it to mark the classes a support allows.
 
 Layers.  The DP keeps the corner-count table of each column count.  A
 new cell (u', v') collects every old state in its allowed classes, and
@@ -44,7 +44,7 @@ from itertools import accumulate, count, islice
 from operator import add
 from typing import Iterator, Mapping, Optional
 
-from .pieces import _PATTERN_ORDINAL, Puzzle, Support, reduce_window
+from .pieces import Puzzle, Support, reduce_window
 
 #: Ceiling for exhaustive enumeration; the tree has up to (2n+2)!/2 leaves.
 BRUTE_FORCE_BOUND = 5
@@ -53,11 +53,11 @@ BRUTE_FORCE_BOUND = 5
 LISTING_BOUND = 10 ** 6
 
 
-def _check_brute_bound(n: int, bound: int) -> None:
+def _check_brute_bound(n: int) -> None:
     if n < 1:
         raise ValueError("puzzles need n >= 1 pieces")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the brute-force bound {bound}")
+    if n > BRUTE_FORCE_BOUND:
+        raise ValueError(f"n={n} exceeds the brute-force bound {BRUTE_FORCE_BOUND}")
 
 
 def _cls(zu: int, zv: int, lt: bool, up: bool) -> int:
@@ -78,9 +78,8 @@ def _class_pieces() -> list[Optional[int]]:
                 zu, zv = (u >= 3) + (u >= 5), (v >= 3) + (v >= 5)
                 au, av = u + zu, v + zv
                 # window: TL = av, TR = v2, BL = au, BR = u2
-                key = ((av > v2) << 5 | (av > au) << 4 | (av > u2) << 3
-                       | (v2 > au) << 2 | (v2 > u2) << 1 | (au > u2))
-                ordinals[_cls(zu, zv, u < v, u2 < v2)] = _PATTERN_ORDINAL[key]
+                ordinals[_cls(zu, zv, u < v, u2 < v2)] = \
+                    reduce_window(av, v2, au, u2).ordinal
     return ordinals
 
 
@@ -238,13 +237,13 @@ def _moves(support: Support, n: int) -> list[dict]:
     return moves
 
 
-def count_bruteforce(support: Support, n: int, bound: int = BRUTE_FORCE_BOUND) -> int:
+def count_bruteforce(support: Support, n: int) -> int:
     """Ground-truth count by walking the whole column-insertion tree.
 
     No state merging: every supported puzzle corresponds to one root-leaf
     path (the final level is summed in place rather than materialized).
     """
-    _check_brute_bound(n, bound)
+    _check_brute_bound(n)
     moves = _moves(support, n)
     last = moves[n]
 
@@ -272,14 +271,13 @@ def _gen(top: tuple[int, ...], bottom: tuple[int, ...], n: int,
                         tuple(new[y - 1] for y in bottom) + (u2,), n, moves)
 
 
-def enumerate_puzzles(support: Support, n: int,
-                      bound: int = BRUTE_FORCE_BOUND) -> list[Puzzle]:
+def enumerate_puzzles(support: Support, n: int) -> list[Puzzle]:
     """All supported n-puzzles, sorted lexicographically by (bottom, top).
 
     The listing is held in memory, so it is refused (ValueError) when the
     DP counts more than LISTING_BOUND puzzles.
     """
-    _check_brute_bound(n, bound)
+    _check_brute_bound(n)
     total = count_dp(support, n)
     if total > LISTING_BOUND:
         raise ValueError(f"{total} puzzles exceed the listing bound "

@@ -138,9 +138,6 @@ def lattice_L(n: int) -> int:
     target = (0,) * n
     memo: dict[tuple[int, ...], int] = {}
 
-    def smooth(state: tuple[int, ...]) -> bool:
-        return all(abs(state[i] - state[i + 1]) <= 1 for i in range(len(state) - 1))
-
     def ways(state: tuple[int, ...]) -> int:
         if state == target:
             return 1
@@ -149,34 +146,23 @@ def lattice_L(n: int) -> int:
             return got
         total = 0
         for i, v in enumerate(state):
-            if v:
-                nxt = state[:i] + (v - 1,) + state[i + 1:]
-                if smooth(nxt):
-                    total += ways(nxt)
+            # Lowering p_i to v-1 keeps the points smooth exactly when
+            # neither neighbour p_{i-1}, p_{i+1} exceeds v.
+            if v and (i == 0 or state[i - 1] <= v) and (
+                    i == n - 1 or state[i + 1] <= v):
+                total += ways(state[:i] + (v - 1,) + state[i + 1:])
         memo[state] = total
         return total
 
     return ways((2,) * n)
 
 
-def whirlpool_W(n: int) -> int:
-    """Permutations p of 1..2n with p[2k-1] < p[2k]  iff  p[2k] < p[2k+1],
-    counted by pruned backtracking."""
-    if n < 1:
-        raise ValueError("whirlpool_W needs n >= 1")
-    if n > WHIRLPOOL_BOUND:
-        raise ValueError(f"n={n} exceeds the whirlpool bound {WHIRLPOOL_BOUND}")
-    size = 2 * n
+def count_permutations(size: int, ok: Callable[[list[int]], bool]) -> int:
+    """Permutations of 1..size all of whose prefixes pass ok, counted by
+    pruned backtracking; ok sees each prefix right after its last entry
+    is placed."""
     used = [False] * (size + 1)
     prefix: list[int] = []
-
-    def ok_tail() -> bool:
-        # Position j = 2k+1 just placed closes the comparison pair at k.
-        j = len(prefix)
-        if j >= 3 and j % 2 == 1:
-            a, b, c = prefix[j - 3], prefix[j - 2], prefix[j - 1]
-            return (a < b) == (b < c)
-        return True
 
     def rec() -> int:
         if len(prefix) == size:
@@ -186,13 +172,25 @@ def whirlpool_W(n: int) -> int:
             if not used[v]:
                 used[v] = True
                 prefix.append(v)
-                if ok_tail():
+                if ok(prefix):
                     total += rec()
                 prefix.pop()
                 used[v] = False
         return total
 
     return rec()
+
+
+def whirlpool_W(n: int) -> int:
+    """Permutations p of 1..2n with p[2k-1] < p[2k]  iff  p[2k] < p[2k+1],
+    counted by pruned backtracking."""
+    if n < 1:
+        raise ValueError("whirlpool_W needs n >= 1")
+    if n > WHIRLPOOL_BOUND:
+        raise ValueError(f"n={n} exceeds the whirlpool bound {WHIRLPOOL_BOUND}")
+    # An odd position 2k+1 >= 3 closes the comparison pair at k.
+    return count_permutations(2 * n, lambda p: len(p) % 2 == 0 or len(p) == 1
+                              or (p[-3] < p[-2]) == (p[-2] < p[-1]))
 
 
 def multinomial_all_pairs(m: int) -> int:

@@ -4,14 +4,16 @@ A basic skeleton is a digraph on the four window corners
 
     a = top-left,  b = bottom-left,  c = top-right,  d = bottom-right
 
-that is acyclic and in which any two directed paths between the same pair
-of vertices have equal length (i.e. it is the Hasse diagram of its
-transitive closure).  An edge u -> v asserts label(v) > label(u).  The
-pieces whose grids extend the skeleton's partial order form a "simple
-piece"; skeletons are classified 1..4 by the orientation of the two
-column relations.  Concatenating a basic skeleton across a 2x(n+1) grid
-gives the puzzle's order poset, whose linear extensions are exactly the
-supported puzzles.
+that is the Hasse diagram of a strict partial order on them: every edge
+is a cover, with no corner between its ends.  On four vertices this is
+the same as being acyclic with any two directed paths between the same
+pair of vertices of equal length.  An edge u -> v asserts label(v) >
+label(u).  The pieces whose grids extend the skeleton's partial order
+form a "simple piece"; skeletons are classified 1..4 by the orientation
+of the two column relations; the 80 simple pieces come from the orders,
+among the 219 on the corners, that relate both columns.  Concatenating
+a basic skeleton across a 2x(n+1) grid gives the puzzle's order poset,
+whose linear extensions are exactly the supported puzzles.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from functools import lru_cache
 from .pieces import PIECES, Support
 
 BASIC_VERTICES = ("a", "b", "c", "d")
+
+#: Most vertices count_linear_extensions accepts (its memo has up to 2^n ideals).
+EXTENSION_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -41,26 +46,14 @@ class SkeletonGraph:
             if u not in vs or v not in vs:
                 raise ValueError(f"edge ({u!r}, {v!r}) leaves the vertex set")
 
-    def successors(self, u):
-        return [v for (x, v) in self.edges if x == u]
-
     def closure(self) -> frozenset:
         """Transitive closure as a set of ordered pairs (via nonempty paths)."""
-        reach = {v: set(self.successors(v)) for v in self.vertices}
-        changed = True
-        while changed:
-            changed = False
-            for u in self.vertices:
-                extra = set()
-                for v in reach[u]:
-                    extra |= reach.get(v, set())
-                if not extra <= reach[u]:
-                    reach[u] |= extra
-                    changed = True
-        return frozenset((u, v) for u, vs in reach.items() for v in vs)
-
-    def is_acyclic(self) -> bool:
-        return all(u != v for u, v in self.closure())
+        reach = set(self.edges)
+        for w in self.vertices:  # Warshall: allow w as an inner vertex
+            into = [u for u, x in reach if x == w]
+            out = [v for x, v in reach if x == w]
+            reach.update((u, v) for u in into for v in out)
+        return frozenset(reach)
 
 
 def basic_skeleton(edges) -> SkeletonGraph:
@@ -68,46 +61,30 @@ def basic_skeleton(edges) -> SkeletonGraph:
     return SkeletonGraph(BASIC_VERTICES, frozenset(edges))
 
 
-def _all_paths(g: SkeletonGraph, src, dst) -> list[int]:
-    """Lengths of every directed path src -> dst (graph assumed acyclic)."""
-    out: list[int] = []
-
-    def walk(u, length):
-        if u == dst and length:
-            out.append(length)
-            return
-        for v in g.successors(u):
-            walk(v, length + 1)
-
-    walk(src, 0)
-    return out
+def _covers(order, vertices) -> frozenset:
+    """The pairs (u, v) of a relation with no w such that u < w < v.  On a
+    cycle, u < u, so no pair on a cycle is a cover."""
+    return frozenset((u, v) for u, v in order
+                     if not any((u, w) in order and (w, v) in order
+                                for w in vertices))
 
 
 def validate_basic(g: SkeletonGraph) -> bool:
-    """Acyclic, and all directed paths between any vertex pair share a length."""
+    """Acyclic, and all directed paths between any vertex pair share a length.
+
+    On four vertices this holds exactly when every edge is a cover of the
+    closure, i.e. g is the Hasse diagram of a strict partial order.
+    """
     if len(g.vertices) != 4:
         raise ValueError("a basic skeleton has exactly four vertices")
-    if not g.is_acyclic():
-        return False
-    for src in g.vertices:
-        for dst in g.vertices:
-            if src is dst or src == dst:
-                continue
-            lengths = _all_paths(g, src, dst)
-            if len(set(lengths)) > 1:
-                return False
-    return True
+    return g.edges == _covers(g.closure(), g.vertices)
 
 
-def classify(g: SkeletonGraph):
-    """Class 1..4 from the orientation of the a-b and c-d relations, else None."""
-    if not validate_basic(g):
-        raise ValueError("not a valid basic skeleton")
-    reach = g.closure()
-    left_up = ("b", "a") in reach     # bottom-left below top-left
-    left_down = ("a", "b") in reach
-    right_up = ("d", "c") in reach
-    right_down = ("c", "d") in reach
+def _order_class(order):
+    left_up = ("b", "a") in order     # bottom-left below top-left
+    left_down = ("a", "b") in order
+    right_up = ("d", "c") in order
+    right_down = ("c", "d") in order
     if left_up and right_up:
         return 1
     if left_up and right_down:
@@ -119,40 +96,49 @@ def classify(g: SkeletonGraph):
     return None
 
 
-def simple_piece(g: SkeletonGraph) -> Support:
-    """The pieces whose corner values extend the skeleton's partial order."""
-    if not validate_basic(g):
-        raise ValueError("not a valid basic skeleton")
-    closure = g.closure()
+def _extending_pieces(order) -> Support:
     members = set()
     for p in PIECES:
         val = {"a": p.tl, "b": p.bl, "c": p.tr, "d": p.br}
-        if all(val[v] > val[u] for u, v in closure):
+        if all(val[v] > val[u] for u, v in order):
             members.add(p)
     return Support(frozenset(members))
 
 
-def _candidate_edges():
-    return [(u, v) for u in BASIC_VERTICES for v in BASIC_VERTICES if u != v]
+def classify(g: SkeletonGraph):
+    """Class 1..4 from the orientation of the a-b and c-d relations, else None."""
+    if not validate_basic(g):
+        raise ValueError("not a valid basic skeleton")
+    return _order_class(g.closure())
+
+
+def simple_piece(g: SkeletonGraph) -> Support:
+    """The pieces whose corner values extend the skeleton's partial order."""
+    if not validate_basic(g):
+        raise ValueError("not a valid basic skeleton")
+    return _extending_pieces(g.closure())
 
 
 @lru_cache(maxsize=None)
 def _skeletons_by_class() -> dict:
-    """class -> {simple piece support: generating basic skeleton}."""
-    slots = _candidate_edges()
+    """class -> {simple piece support: generating basic skeleton}.
+
+    The transitive relations on the 12 ordered corner pairs are the 219
+    strict partial orders on the corners (A001035): one holding (u, v) and
+    (v, u) would have to hold (u, u), which is not a corner pair.  Distinct
+    orders have distinct sets of linear extensions, hence distinct
+    supports, and each order's skeleton is its Hasse diagram.
+    """
+    pairs = [(u, v) for u in BASIC_VERTICES for v in BASIC_VERTICES if u != v]
     by_class: dict = {1: {}, 2: {}, 3: {}, 4: {}}
-    for bits in range(1 << len(slots)):
-        edges = frozenset(e for i, e in enumerate(slots) if bits >> i & 1)
-        g = basic_skeleton(edges)
-        if not validate_basic(g):
+    for bits in range(1 << len(pairs)):
+        order = frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
+        if not all((u, w) in order for u, v in order for x, w in order if v == x):
             continue
-        cls = classify(g)
-        if cls is None:
-            continue
-        support = simple_piece(g)
-        # Distinct valid skeletons have distinct closures, hence distinct
-        # supports; keep the first (only) generator seen.
-        by_class[cls].setdefault(support, g)
+        cls = _order_class(order)
+        if cls is not None:
+            hasse = basic_skeleton(_covers(order, BASIC_VERTICES))
+            by_class[cls][_extending_pieces(order)] = hasse
     return by_class
 
 
@@ -194,24 +180,17 @@ def drawn_edge_count(support: Support) -> int:
     The generating Hasse diagram may omit a column edge implied by a longer
     chain; this statistic matches how the 20 families are usually pictured.
     """
-    g = generating_skeleton(support)
-    closure = g.closure()
-    columns = {frozenset(("a", "b")), frozenset(("c", "d"))}
-    cross_covers = 0
-    for u, v in closure:
-        if frozenset((u, v)) in columns:
-            continue
-        if not any((u, w) in closure and (w, v) in closure
-                   for w in BASIC_VERTICES if w not in (u, v)):
-            cross_covers += 1
-    return 2 + cross_covers
+    columns = ({"a", "b"}, {"c", "d"})
+    covers = generating_skeleton(support).edges
+    return 2 + sum(set(e) not in columns for e in covers)
 
 
-def count_linear_extensions(g: SkeletonGraph, bound: int = 16) -> int:
+def count_linear_extensions(g: SkeletonGraph) -> int:
     """Exact number of linear extensions, by DP over order ideals."""
     n = len(g.vertices)
-    if n > bound:
-        raise ValueError(f"{n} vertices exceeds the extension-count bound {bound}")
+    if n > EXTENSION_BOUND:
+        raise ValueError(f"{n} vertices exceeds the extension-count bound "
+                         f"{EXTENSION_BOUND}")
     index = {v: i for i, v in enumerate(g.vertices)}
     preds = [0] * n
     for u, v in g.edges:

@@ -107,15 +107,19 @@ def _resolve_map(map_id) -> int:
     raise ValueError(f"unknown map {map_id!r}")
 
 
-def check_invariance(support: Support, n: int, map_id, bound: int = 4) -> bool:
+#: Largest n that check_invariance enumerates.
+INVARIANCE_BOUND = 4
+
+
+def check_invariance(support: Support, n: int, map_id) -> bool:
     """Brute-force check that a support and its f-image count identically.
 
-    Both sides are enumerated independently; n is capped by `bound` to keep
-    the enumeration at desk scale.
+    Both sides are enumerated independently; n is capped by INVARIANCE_BOUND
+    to keep the enumeration at desk scale.
     """
     from .counting import count_bruteforce
 
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the brute-force bound {bound}")
+    if n > INVARIANCE_BOUND:
+        raise ValueError(f"n={n} exceeds the brute-force bound {INVARIANCE_BOUND}")
     table = _TABLES[_resolve_map(map_id)]
     return count_bruteforce(support, n) == count_bruteforce(_apply(table, support), n)

@@ -116,8 +116,9 @@ def exhaustive_lattice_paths(n):
 
 
 def test_lattice_L():
-    assert lattice_L(1) == 1
-    assert lattice_L(2) == 4
+    assert [lattice_L(n) for n in range(1, 13)] == [
+        1, 4, 44, 896, 29392, 1413792, 93770800, 8201380224, 914570667792,
+        126651310675680, 21323599202141616, 4289517397262212416]
     for n in (1, 2, 3):
         assert lattice_L(n) == exhaustive_lattice_paths(n)
     with pytest.raises(ValueError):

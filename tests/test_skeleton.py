@@ -20,6 +20,40 @@ def test_validate_examples():
     assert not validate_basic(basic_skeleton({("b", "a"), ("a", "c"), ("b", "c")}))
 
 
+def path_lengths_agree(edges):
+    """The path-length definition: acyclic, and all directed paths between
+    any two vertices have one length (walked out in full)."""
+    succ = {v: [y for x, y in edges if x == v] for v in "abcd"}
+    lengths = {}
+
+    def walk(start, u, length, seen):
+        for v in succ[u]:
+            if v in seen:
+                return False  # a cycle
+            lengths.setdefault((start, v), set()).add(length + 1)
+            if not walk(start, v, length + 1, seen | {v}):
+                return False
+        return True
+
+    if not all(walk(v, v, 0, {v}) for v in "abcd"):
+        return False
+    return all(len(found) == 1 for found in lengths.values())
+
+
+def test_validate_matches_path_length_definition():
+    pairs = [(u, v) for u in "abcd" for v in "abcd" if u != v]
+    valid = []
+    for bits in range(1 << len(pairs)):
+        edges = frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
+        g = basic_skeleton(edges)
+        ok = validate_basic(g)
+        assert ok == path_lengths_agree(edges), sorted(edges)
+        if ok:
+            valid.append(g)
+    assert len(valid) == 219
+    assert sum(classify(g) is not None for g in valid) == 80
+
+
 def test_validate_needs_four_vertices():
     with pytest.raises(ValueError):
         validate_basic(SkeletonGraph(("a", "b"), frozenset({("a", "b")})))
