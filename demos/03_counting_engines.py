@@ -36,7 +36,7 @@ for codes, label, reference in families:
             assert counts[n - 1] == expected
 
 print()
-print("Both engines agree (brute force walks the whole tree):")
+print("Both engines agree (brute force checks every move with reduce_window):")
 support = Support.parse("A2,A3,B5")
 for n in (1, 2, 3, 4):
     print(f"  n={n}: dp={count_dp(support, n)}, brute={count_bruteforce(support, n)}")

@@ -3,10 +3,11 @@
 A standard n-puzzle is a 2x(n+1) grid filled bijectively with 1..2n+2;
 its family is the set of 2x2 order patterns ("pieces") its windows may
 realize.  The package provides the piece algebra, two counting engines
-(a rank-pair DP and a brute-force tree walk) that share only the piece
-definitions, the skeleton model generating the simple families from the
-partial orders on a window's corners, closed-form counts with an
-independent verification suite, and sequence identification.
+(a rank-pair DP and a brute force that checks every move with
+`reduce_window`) that share only the piece definitions, the skeleton
+model generating the simple families from the partial orders on a
+window's corners, closed-form counts with an independent verification
+suite, and sequence identification.
 """
 
 from .counting import (CornerTable, corner_table, count_bruteforce,

@@ -28,13 +28,13 @@ boustrophedon recurrence behind Entringer numbers.  One pass over the
 layers yields the whole count prefix, and once a layer is empty every
 later one is too.
 
-The brute-force engine walks the unmerged column-insertion tree (and can
-materialize the puzzles).  `_moves` builds its moves once per (m,
-reachable state): it relabels the old column into the new label set and
-asks `reduce_window` whether the window is a supported piece.  It never
-reads the class table, so the two engines share only `Support` and the
-piece definitions; the definition-level check of both is the
-`reduce_window` filter over every grid filling in the tests.
+The brute-force engine sums the paths through its own moves layer by
+layer (and walks them to materialize the puzzles).  `_moves` builds the
+moves once per (m, reachable state): it relabels the old column into the
+new label set and asks `reduce_window` whether the window is a supported
+piece.  It never reads the class table, so the two engines share only
+`Support` and the piece definitions; the definition-level check of both
+is the `reduce_window` filter over every grid filling in the tests.
 """
 
 from __future__ import annotations
@@ -46,18 +46,11 @@ from typing import Iterator, Mapping, Optional
 
 from .pieces import Puzzle, Support, reduce_window
 
-#: Ceiling for exhaustive enumeration; the tree has up to (2n+2)!/2 leaves.
+#: Ceiling for the brute force, set by the listing walk and the cost of `_moves`.
 BRUTE_FORCE_BOUND = 5
 
 #: Ceiling on the number of puzzles `enumerate_puzzles` holds and sorts.
 LISTING_BOUND = 10 ** 6
-
-
-def _check_brute_bound(n: int) -> None:
-    if n < 1:
-        raise ValueError("puzzles need n >= 1 pieces")
-    if n > BRUTE_FORCE_BOUND:
-        raise ValueError(f"n={n} exceeds the brute-force bound {BRUTE_FORCE_BOUND}")
 
 
 def _cls(zu: int, zv: int, lt: bool, up: bool) -> int:
@@ -217,6 +210,10 @@ def _moves(support: Support, n: int) -> list[dict]:
     follow the column (u, v) over 2m labels, for m = 1..n and the states
     reachable after m columns.  Each move is checked by `reduce_window`
     on the relabelled window, not by the DP's class table."""
+    if n < 1:
+        raise ValueError("puzzles need n >= 1 pieces")
+    if n > BRUTE_FORCE_BOUND:
+        raise ValueError(f"n={n} exceeds the brute-force bound {BRUTE_FORCE_BOUND}")
     members = support.members
     moves: list[dict] = [{}]
     states = {(1, 2), (2, 1)}
@@ -237,26 +234,21 @@ def _moves(support: Support, n: int) -> list[dict]:
     return moves
 
 
+def _count_paths(moves: list[dict]) -> int:
+    """Paths through `moves`, summed per reachable state layer by layer."""
+    paths = {(1, 2): 1, (2, 1): 1}
+    for layer in moves[1:]:
+        nxt: dict[tuple[int, int], int] = {}
+        for state, cnt in paths.items():
+            for target in layer[state]:
+                nxt[target] = nxt.get(target, 0) + cnt
+        paths = nxt
+    return sum(paths.values())
+
+
 def count_bruteforce(support: Support, n: int) -> int:
-    """Ground-truth count by walking the whole column-insertion tree.
-
-    No state merging: every supported puzzle corresponds to one root-leaf
-    path (the final level is summed in place rather than materialized).
-    """
-    _check_brute_bound(n)
-    moves = _moves(support, n)
-    last = moves[n]
-
-    def rec(u: int, v: int, m: int) -> int:
-        if m == n:
-            return len(last[(u, v)])
-        total = 0
-        nxt = m + 1
-        for u2, v2 in moves[m][(u, v)]:
-            total += rec(u2, v2, nxt)
-        return total
-
-    return rec(1, 2, 1) + rec(2, 1, 1)
+    """Ground-truth count: the paths through the `reduce_window` moves."""
+    return _count_paths(_moves(support, n))
 
 
 def _gen(top: tuple[int, ...], bottom: tuple[int, ...], n: int,
@@ -275,14 +267,13 @@ def enumerate_puzzles(support: Support, n: int) -> list[Puzzle]:
     """All supported n-puzzles, sorted lexicographically by (bottom, top).
 
     The listing is held in memory, so it is refused (ValueError) when the
-    DP counts more than LISTING_BOUND puzzles.
+    brute-force moves give more than LISTING_BOUND puzzles.
     """
-    _check_brute_bound(n)
-    total = count_dp(support, n)
+    moves = _moves(support, n)
+    total = _count_paths(moves)
     if total > LISTING_BOUND:
         raise ValueError(f"{total} puzzles exceed the listing bound "
                          f"{LISTING_BOUND}")
-    moves = _moves(support, n)
     found = list(_gen((2,), (1,), n, moves))
     found.extend(_gen((1,), (2,), n, moves))
     found.sort(key=lambda p: (p.bottom, p.top))

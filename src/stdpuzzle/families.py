@@ -23,10 +23,10 @@ from typing import Iterator, Optional
 from .counting import count_prefix
 from .pieces import Support
 from .sequences import registry_matches
-from .theorems import simple_piece_support
+from .theorems import SIMPLE_PIECES, simple_piece_support
 from .transforms import f2, f12
 
-_FORMULA_FREE = 10
+_FORMULA_FREE = frozenset(r.x for r in SIMPLE_PIECES if not r.refinement_known)
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class FamilySpec:
 
     @property
     def formula_free(self) -> bool:
-        return self.x == _FORMULA_FREE or self.z == _FORMULA_FREE
+        return self.x in _FORMULA_FREE or self.z in _FORMULA_FREE
 
     def support(self) -> Support:
         converters = Support.of(
@@ -95,7 +95,7 @@ def iter_family_specs(kind: int, include_open: bool = False,
     """
     indices = list(xs) if xs is not None else list(range(1, 21))
     if not include_open:
-        indices = [x for x in indices if x != _FORMULA_FREE]
+        indices = [x for x in indices if x not in _FORMULA_FREE]
     subsets = _subsets()
     if kind == 1:
         for x in indices:

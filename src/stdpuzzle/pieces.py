@@ -93,7 +93,6 @@ PIECES: tuple[StandardPiece, ...] = (
 
 _BY_CODE = {p.code: p for p in PIECES}
 _BY_LETTER = {p.letter: p for p in PIECES}
-_BY_GRID = {p.grid: p for p in PIECES}
 
 
 def _pattern_key(tl: int, tr: int, bl: int, br: int) -> int:

@@ -123,7 +123,8 @@ def catalan_triangle_t(n: int, k: int) -> int:
     return closed
 
 
-#: Largest n that lattice_L and whirlpool_W evaluate.
+#: Largest n that lattice_L and whirlpool_W evaluate.  More whirlpool terms
+#: would add registry windows and could change families, identify and seq output.
 LATTICE_BOUND = 12
 WHIRLPOOL_BOUND = 5
 
@@ -182,15 +183,19 @@ def count_permutations(size: int, ok: Callable[[list[int]], bool]) -> int:
 
 
 def whirlpool_W(n: int) -> int:
-    """Permutations p of 1..2n with p[2k-1] < p[2k]  iff  p[2k] < p[2k+1],
-    counted by pruned backtracking."""
+    """Permutations p of 1..2n with p[2k-1] < p[2k]  iff  p[2k] < p[2k+1].
+    rise[j] / fall[j] count prefixes whose last entry ranks j+1 among those
+    placed and whose last step rose / fell."""
     if n < 1:
         raise ValueError("whirlpool_W needs n >= 1")
     if n > WHIRLPOOL_BOUND:
         raise ValueError(f"n={n} exceeds the whirlpool bound {WHIRLPOOL_BOUND}")
-    # An odd position 2k+1 >= 3 closes the comparison pair at k.
-    return count_permutations(2 * n, lambda p: len(p) % 2 == 0 or len(p) == 1
-                              or (p[-3] < p[-2]) == (p[-2] < p[-1]))
+    rise, fall = [1], [0]
+    for length in range(2, 2 * n + 1):
+        if length % 2 == 0:  # a step into an even position may follow either one
+            rise = fall = [r + f for r, f in zip(rise, fall)]
+        rise, fall = [0, *accumulate(rise)], [*accumulate(fall[::-1])][::-1] + [0]
+    return sum(rise) + sum(fall)
 
 
 def multinomial_all_pairs(m: int) -> int:

@@ -213,9 +213,9 @@ def count_linear_extensions(g: SkeletonGraph) -> int:
     return rec(0)
 
 
-def export_dot(g: SkeletonGraph, name: str = "skeleton") -> str:
+def export_dot(g: SkeletonGraph) -> str:
     """Graphviz DOT text, vertices in canonical order."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph skeleton {"]
     for v in g.vertices:
         lines.append(f'  "{v}";')
     for u, v in sorted(g.edges, key=lambda e: (str(e[0]), str(e[1]))):

@@ -214,7 +214,7 @@ def a2_plus_b(i: int, n: int) -> int:
     if i == 2:
         return 2 * catalan(n)
     if i == 3:
-        return catalan(n) + catalan(n - 1) if n >= 2 else catalan(1) + catalan(0)
+        return catalan(n) + catalan(n - 1)
     if i == 4:
         return 2 * _comb0(2 * n - 2, n - 1)
     if i == 5:
@@ -396,8 +396,8 @@ class CompositionQuery:
         for v in (self.x, self.z):
             if v not in range(1, 21):
                 raise ValueError(f"simple piece index {v} out of range 1..20")
-            if v == 10:
-                raise ValueError("family 10 has no refinement; composition unavailable")
+            if not simple_piece_row(v).refinement_known:
+                raise ValueError(f"family {v} has no refinement; composition unavailable")
         if self.y not in range(1, 7):
             raise ValueError(f"converter index {self.y} out of range 1..6")
         if self.n < 1:
@@ -500,7 +500,7 @@ def sample_composition_queries(count: int, nmax: int = 3, seed: int = 20240809,
                                converter_kind: str = "B") -> list[CompositionQuery]:
     """Deterministic sample of admissible composition queries."""
     rng = random.Random(seed)
-    xs = [x for x in range(1, 21) if x != 10]
+    xs = [row.x for row in SIMPLE_PIECES if row.refinement_known]
     out = []
     for _ in range(count):
         out.append(CompositionQuery(rng.choice(xs), rng.randrange(1, 7),

@@ -70,11 +70,16 @@ def test_engines_match_naive_oracle(text, n):
 
 @pytest.mark.parametrize("text", NAMED)
 def test_brute_force_does_not_read_the_class_table(text, monkeypatch):
-    # The DP's class table is switched off; the brute force and the
-    # listing must still agree with the reduce_window filter.
+    # The DP's class table is switched off and its layers raise; the brute
+    # force and the listing must still agree with the reduce_window filter.
     support = Support.parse(text)
     expected = [naive_count(support, n) for n in (1, 2, 3)]
     monkeypatch.setattr(counting, "_class_table", lambda mask: [False] * 36)
+
+    def no_dp(mask):
+        raise AssertionError("the brute force ran the DP")
+
+    monkeypatch.setattr(counting, "_layers", no_dp)
     assert [count_bruteforce(support, n) for n in (1, 2, 3)] == expected
     listed = enumerate_puzzles(support, 3)
     assert len(listed) == expected[-1]
@@ -85,6 +90,7 @@ def test_brute_force_does_not_read_the_class_table(text, monkeypatch):
 def test_full_support_counts_every_filling():
     assert count_dp(FULL_SUPPORT, 1) == 24
     assert count_bruteforce(FULL_SUPPORT, 1) == 24
+    assert count_bruteforce(FULL_SUPPORT, 5) == factorial(12)
 
 
 def test_catalan_family_counts():

@@ -139,8 +139,9 @@ def whirlpool_filter(n):
 def test_whirlpool_W():
     assert whirlpool_W(1) == 2
     assert whirlpool_W(2) == 8
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         assert whirlpool_W(n) == whirlpool_filter(n)
+    assert whirlpool_W(5) == 51040
     with pytest.raises(ValueError):
         whirlpool_W(6)
 
