@@ -224,6 +224,8 @@ def cmd_identify(args) -> int:
 
 def cmd_families(args) -> int:
     xs = [int(tok) for tok in args.x.split(",")] if args.x else None
+    # sweep checks its arguments at the call, so a rejected sweep exits
+    # before --out is opened and truncated.
     rows = families_mod.sweep(args.kind, args.nmax,
                               include_open=args.include_open, xs=xs)
     out = open(args.out, "w", newline="") if args.out else sys.stdout

@@ -5,9 +5,17 @@ reference values the counting results get checked against.  Conventions at
 the boundary indices follow the combinatorial definitions: (-1)!! = 0!! = 1,
 T(n,0) = 0, t(n,n+1) = 0.  A generator raises ValueError outside its reach.
 
-registry_matches is one lookup in a table, built once per prefix length m,
-of every REGISTRY window of length m (shifted by MATCH_OFFSETS, scaled by
-MATCH_FACTORS where that keeps it integral), keyed by its values.
+registry_matches is one lookup in a table of every REGISTRY window of
+length m (shifted by MATCH_OFFSETS, scaled by MATCH_FACTORS where that
+keeps it integral), keyed by its values, with m the prefix length capped
+at MATCH_HEAD.  `_match_table(m)` is built once per m and asks each
+generator only for terms 1..m + max(MATCH_OFFSETS).  A longer prefix is
+looked up by its first MATCH_HEAD terms, and only the hits that survive
+have their later terms checked, against generator values memoised per
+(sequence, index); a window past its generator's reach is no match.  So
+a term such as lattice_L(12) is evaluated only while some prefix still
+matches the lattice numbers, and a prefix of at most MATCH_HEAD terms
+costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -233,32 +241,54 @@ MATCH_FACTORS = (Fraction(1), Fraction(2), Fraction(4, 3), Fraction(3, 2))
 MATCH_OFFSETS = (0, 1, 2, 3)
 
 
+#: Prefix terms the match table is keyed on; later terms are checked per hit.
+MATCH_HEAD = 4
+
+_TERMS: dict[tuple[str, int], Optional[int]] = {}
+
+
+def _term(seq: SequenceId, i: int) -> Optional[int]:
+    """seq's term at index i, or None past the generator's reach; memoised."""
+    key = (seq.name, i)
+    if key not in _TERMS:
+        try:
+            _TERMS[key] = seq.generator(i)
+        except ValueError:
+            _TERMS[key] = None
+    return _TERMS[key]
+
+
 @functools.lru_cache(maxsize=None)
-def _match_table(length: int) -> dict[tuple[int, ...], list[dict]]:
-    """Registry hits for prefixes of length `length`, keyed by the prefix."""
-    table: dict[tuple[int, ...], list[dict]] = {}
+def _match_table(length: int) -> dict[tuple[int, ...], list[tuple]]:
+    """Registry hits for prefixes of length `length`, keyed by the prefix:
+    (sequence, offset, factor, hit) per window, ranked plain-first."""
+    table: dict[tuple[int, ...], list[tuple]] = {}
     for seq in REGISTRY:
-        values = []
-        for i in range(1, length + max(MATCH_OFFSETS) + 1):
-            try:
-                values.append(seq.generator(i))
-            except ValueError:  # past the generator's reach
-                break
         for offset in MATCH_OFFSETS:
-            window = values[offset:offset + length]
-            if len(window) < length:
+            window = [_term(seq, offset + n) for n in range(1, length + 1)]
+            if None in window:
                 continue
             for factor in MATCH_FACTORS:
                 scaled = [t * factor.numerator for t in window]
                 if any(t % factor.denominator for t in scaled):
                     continue
                 key = tuple(t // factor.denominator for t in scaled)
-                table.setdefault(key, []).append(
-                    {"name": seq.name, "oeis": seq.oeis, "offset": offset,
-                     "factor": str(factor), "label": "candidate match"})
+                table.setdefault(key, []).append((seq, offset, factor, {
+                    "name": seq.name, "oeis": seq.oeis, "offset": offset,
+                    "factor": str(factor), "label": "candidate match"}))
     for hits in table.values():
-        hits.sort(key=lambda h: (h["factor"] != "1", h["offset"], h["name"]))
+        hits.sort(key=lambda h: (h[2] != 1, h[1], h[0].name))
     return table
+
+
+def _tail_matches(seq: SequenceId, offset: int, factor: Fraction,
+                  prefix: list[int]) -> bool:
+    """Whether prefix terms MATCH_HEAD + 1.. equal factor * seq shifted by offset."""
+    for n in range(MATCH_HEAD + 1, len(prefix) + 1):
+        t = _term(seq, offset + n)
+        if t is None or t * factor.numerator != prefix[n - 1] * factor.denominator:
+            return False
+    return True
 
 
 def registry_matches(prefix: list[int]) -> list[dict]:
@@ -268,4 +298,6 @@ def registry_matches(prefix: list[int]) -> list[dict]:
     """
     if not prefix:
         return []
-    return [dict(hit) for hit in _match_table(len(prefix)).get(tuple(prefix), ())]
+    hits = _match_table(min(len(prefix), MATCH_HEAD)).get(tuple(prefix[:MATCH_HEAD]), ())
+    return [dict(hit) for seq, offset, factor, hit in hits
+            if _tail_matches(seq, offset, factor, prefix)]

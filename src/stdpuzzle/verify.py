@@ -17,7 +17,7 @@ from functools import partial
 from itertools import combinations
 from typing import Callable
 
-from . import theorems
+from . import families, theorems
 from .counting import (corner_table, count_bruteforce, count_dp,
                        count_prefix)
 from .pieces import PIECES, Support, reduce_window
@@ -381,6 +381,25 @@ def _claim_engine_equivalence(nmax: int) -> ClaimResult:
                     f"1..{hi}", computed, expected)
 
 
+def _claim_converter_additivity(nmax: int) -> ClaimResult:
+    hi = min(nmax, 4)
+    rng = random.Random(29)
+    computed, expected = [], []
+    for kind in (1, 2):
+        # One seeded x per kind keeps the claim to two small sweeps (256
+        # and 128 rows); the tests recount every row for several x.
+        xs = [rng.randrange(1, 21)]
+        added = [row for row in families.sweep(kind, hi, include_open=True, xs=xs)
+                 if "," in row["converter_subset"] and not row["duplicate_support"]]
+        for row in rng.sample(added, 8):
+            computed += [int(v) for v in row["prefix"]]
+            expected += count_prefix(Support.parse(row["support"]), hi)
+    return _vectors("converter-additivity",
+                    "sweep rows with two or more converters, added up from "
+                    "the single-converter rows, match direct counts",
+                    f"1..{hi}", computed, expected)
+
+
 _CONVERTER_CASES = [
     (Support.parse(codes.format(i)), partial(formula, i), first)
     for i in range(1, 7)
@@ -443,6 +462,7 @@ CLAIMS = {
     "product-identity": _claim_product_identity,
     "flip-invariance": _claim_flip_invariance,
     "engine-equivalence": _claim_engine_equivalence,
+    "converter-additivity": _claim_converter_additivity,
 }
 
 

@@ -255,3 +255,13 @@ def test_io_error_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "families", "--kind", "1", "--nmax", "1",
                        "--x", "16", "--out", str(missing))
     assert code == 3 and "i/o error" in err
+
+
+@pytest.mark.parametrize("bad", (["--nmax", "0"], ["--x", "25"], ["--x", "4,25"]))
+def test_rejected_families_command_keeps_the_out_file(tmp_path, capsys, bad):
+    out_file = tmp_path / "rows.jsonl"
+    out_file.write_text("old rows\n")
+    code, out, err = run(capsys, "families", "--kind", "2", "--nmax", "2",
+                         *bad, "--out", str(out_file))
+    assert code == 2 and "error" in err and out == ""
+    assert out_file.read_text() == "old rows\n"

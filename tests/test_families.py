@@ -1,5 +1,7 @@
 import pytest
 
+from stdpuzzle import families
+from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import FamilySpec, iter_family_specs, sweep
 from stdpuzzle.pieces import Support
 from stdpuzzle.theorems import a123_plus_b
@@ -70,3 +72,36 @@ def test_sweep_kind2_slice():
     assert len(rows) == 2 * 2 * 2 * 2 ** 6
     assert all(r["kind"] == 2 and r["z"] in (16, 17) for r in rows)
 
+
+@pytest.mark.parametrize("kind", (1, 2))
+def test_every_row_equals_a_direct_count(kind):
+    xs = [4, 8, 10, 17]
+    specs = list(iter_family_specs(kind, include_open=True, xs=xs))
+    rows = list(sweep(kind, 6, include_open=True, xs=xs))
+    assert len(rows) == len(specs)
+    for spec, row in zip(specs, rows):
+        assert row["support"] == str(spec.support())
+        assert row["prefix"] == [str(v) for v in count_prefix(spec.support(), 6)]
+
+
+def test_sweep_counts_only_base_and_single_converter_supports(monkeypatch):
+    counted = []
+
+    def counting(support, nmax):
+        counted.append(support)
+        return count_prefix(support, nmax)
+
+    monkeypatch.setattr(families, "count_prefix", counting)
+    rows = list(sweep(1, 4, xs=[4]))
+    assert len(rows) == 2 ** 6 * 2 * 2
+    # 2 converter kinds x 2 mirrorings x (base + 6 single converters)
+    assert len(counted) <= 28
+
+
+def test_sweep_checks_its_arguments_before_the_first_row():
+    with pytest.raises(ValueError, match="nmax"):
+        sweep(1, 0)
+    with pytest.raises(ValueError, match="x out of range"):
+        sweep(2, 2, xs=[4, 25])
+    with pytest.raises(ValueError, match="kind"):
+        sweep(3, 2)

@@ -3,13 +3,16 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stdpuzzle import sequences
 from stdpuzzle.counting import count_prefix
+from stdpuzzle.identify import identify
 from stdpuzzle.pieces import Support
-from stdpuzzle.sequences import (MATCH_FACTORS, MATCH_OFFSETS, REGISTRY,
-                                 catalan, catalan_triangle_t, double_factorial,
-                                 entringer, fibonacci, lattice_L,
-                                 multinomial_all_pairs, registry_matches,
-                                 secant, triangle_T, whirlpool_W)
+from stdpuzzle.sequences import (MATCH_FACTORS, MATCH_HEAD, MATCH_OFFSETS,
+                                 REGISTRY, catalan, catalan_triangle_t,
+                                 double_factorial, entringer, fibonacci,
+                                 lattice_L, multinomial_all_pairs,
+                                 registry_matches, secant, triangle_T,
+                                 whirlpool_W)
 from stdpuzzle.theorems import SIMPLE_PIECES
 from test_counting import NAMED, run_fresh
 
@@ -257,8 +260,25 @@ def test_registry_matches_family_prefixes(codes):
         assert registry_matches(prefix[:nmax]) == naive_registry_matches(prefix[:nmax])
 
 
+@st.composite
+def near_registry_windows(draw):
+    """A scaled registry window of 1..12 terms, cut where the generator's
+    reach ends, with perhaps one term moved by one."""
+    seq = draw(st.sampled_from(REGISTRY))
+    offset = draw(st.sampled_from(MATCH_OFFSETS))
+    factor = draw(st.sampled_from(MATCH_FACTORS))
+    length = draw(st.integers(1, 12))
+    terms = [registry_term(seq, offset + n) for n in range(1, length + 1)]
+    prefix = [int(factor * t) for t in terms if t is not None]
+    moved = draw(st.integers(0, len(prefix)))
+    if moved < len(prefix):
+        prefix[moved] += draw(st.sampled_from((-1, 1)))
+    return prefix
+
+
 @settings(deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=150), max_size=7))
+@given(st.lists(st.integers(min_value=0, max_value=150), max_size=12)
+       | near_registry_windows())
 def test_registry_matches_equals_naive(prefix):
     assert registry_matches(prefix) == naive_registry_matches(prefix)
 
@@ -270,3 +290,12 @@ def test_registry_matches_returns_fresh_hits():
     hits[0]["name"] = "changed"
     hits.append({})
     assert registry_matches(prefix) == naive_registry_matches(prefix)
+
+
+def test_identify_evaluates_no_lattice_term_past_the_head(monkeypatch):
+    monkeypatch.setattr(sequences, "_TERMS", {})
+    sequences._match_table.cache_clear()
+    identify(Support.parse("A1,A2,A3,A4,A5"), 9)
+    evaluated = sorted(i for name, i in sequences._TERMS
+                       if name == "lattice_smooth_paths")
+    assert evaluated == list(range(1, MATCH_HEAD + max(MATCH_OFFSETS) + 1))
