@@ -55,14 +55,20 @@ _THEOREM_ALIASES = {
 _MAPS = {"f1": f1, "f2": f2, "f3": f3, "f12": f12, "f123": f123}
 
 
+def _write_csv(rows, out=None) -> None:
+    """Stream dict rows as CSV (default stdout), headed by the first row's keys."""
+    writer = None
+    for row in rows:  # no rows: nothing at all, not even a header
+        if writer is None:
+            writer = csv.DictWriter(out or sys.stdout, fieldnames=list(row))
+            writer.writeheader()
+        writer.writerow(row)
+
+
 def _emit(args, payload, csv_rows=None) -> None:
     """Print a payload as JSON, or as CSV when rows are tabular."""
     if args.format == "csv" and csv_rows is not None:
-        rows = list(csv_rows)
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]) if rows else [])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        _write_csv(csv_rows)
     else:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -223,7 +229,7 @@ def cmd_identify(args) -> int:
 
 
 def cmd_families(args) -> int:
-    xs = [int(tok) for tok in args.x.split(",")] if args.x else None
+    xs = [int(tok) for tok in args.x.split(",")] if args.x is not None else None
     # sweep checks its arguments at the call, so a rejected sweep exits
     # before --out is opened and truncated.
     rows = families_mod.sweep(args.kind, args.nmax,
@@ -231,15 +237,9 @@ def cmd_families(args) -> int:
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.format == "csv":
-            writer = None
-            for row in rows:
-                flat = dict(row)
-                flat["prefix"] = ";".join(flat["prefix"])
-                flat.pop("match_detail")
-                if writer is None:
-                    writer = csv.DictWriter(out, fieldnames=list(flat))
-                    writer.writeheader()
-                writer.writerow(flat)
+            _write_csv(({k: ";".join(v) if k == "prefix" else v
+                         for k, v in row.items() if k != "match_detail"}
+                        for row in rows), out)
         else:
             for row in rows:  # JSON lines: one family per line
                 out.write(json.dumps(row) + "\n")

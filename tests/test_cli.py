@@ -257,7 +257,9 @@ def test_io_error_exit_3(tmp_path, capsys):
     assert code == 3 and "i/o error" in err
 
 
-@pytest.mark.parametrize("bad", (["--nmax", "0"], ["--x", "25"], ["--x", "4,25"]))
+# An empty --x is a malformed list like "4,,8", not a request for every index.
+@pytest.mark.parametrize("bad", (["--nmax", "0"], ["--x", "25"], ["--x", "4,25"],
+                                 ["--x", ""]))
 def test_rejected_families_command_keeps_the_out_file(tmp_path, capsys, bad):
     out_file = tmp_path / "rows.jsonl"
     out_file.write_text("old rows\n")
@@ -265,3 +267,12 @@ def test_rejected_families_command_keeps_the_out_file(tmp_path, capsys, bad):
                          *bad, "--out", str(out_file))
     assert code == 2 and "error" in err and out == ""
     assert out_file.read_text() == "old rows\n"
+
+
+def test_empty_csv_table_prints_nothing(capsys):
+    # {B1} has no 2-puzzles: no rows, so no header line either, as with
+    # an empty families CSV.
+    code, out, _ = run(capsys, "--format", "csv", "enumerate", "--support", "B1",
+                       "--n", "2")
+    assert code == 0 and out == ""
+

@@ -4,8 +4,9 @@ from stdpuzzle import families
 from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import FamilySpec, iter_family_specs, sweep
 from stdpuzzle.pieces import Support
-from stdpuzzle.theorems import a123_plus_b
-from stdpuzzle.transforms import f2
+from stdpuzzle.theorems import (SIMPLE_PIECES, CompositionQuery, a123_plus_b,
+                                compose)
+from stdpuzzle.transforms import f1, f2
 
 
 def test_descriptor_counts_match_family_arithmetic():
@@ -105,3 +106,46 @@ def test_sweep_checks_its_arguments_before_the_first_row():
         sweep(2, 2, xs=[4, 25])
     with pytest.raises(ValueError, match="kind"):
         sweep(3, 2)
+
+
+def _f1_maps():
+    """The simple family f1 sends each family to, and the B index it sends
+    each C converter to."""
+    by_support = {row.support: row.x for row in SIMPLE_PIECES}
+    families_map = {row.x: by_support[f1(row.support)] for row in SIMPLE_PIECES}
+    converters = {y: next(iter(f1(Support.of(f"C{y}")).members)).index
+                  for y in range(1, 7)}
+    return families_map, converters
+
+
+def _mapped(subset, converters):
+    return ",".join(sorted(str(converters[int(y)]) for y in subset.split(",") if y))
+
+
+def test_kind2_c_rows_are_f1_images_of_b_rows():
+    # The C row (x, S, z) is f1 of the B row (x', S + 3 mod 6, z'), with
+    # x' and z' the families f1 maps x and z to; the slice is closed under
+    # that map (4 <-> 5, 8 <-> 9, 10 fixed).
+    xbar, converters = _f1_maps()
+    rows = list(sweep(2, 4, include_open=True, xs=[4, 5, 8, 9, 10]))
+    b_rows = {(r["x"], r["converter_subset"], r["z"]): r
+              for r in rows if r["converter_kind"] == "B"}
+    c_rows = [r for r in rows if r["converter_kind"] == "C"]
+    assert len(c_rows) == 5 * 5 * 2 ** 6
+    for row in c_rows:
+        image = b_rows[xbar[row["x"]], _mapped(row["converter_subset"], converters),
+                       xbar[row["z"]]]
+        assert str(f1(Support.parse(row["support"]))) == image["support"]
+        assert row["prefix"] == image["prefix"]
+
+
+def test_single_converter_c_rows_match_compose():
+    xbar, converters = _f1_maps()
+    rows = [r for r in sweep(2, 4, xs=[4, 8, 17])
+            if r["converter_kind"] == "C" and len(r["converter_subset"]) == 1]
+    assert len(rows) == 3 * 3 * 6
+    for row in rows:
+        y = converters[int(row["converter_subset"])]
+        assert row["prefix"] == [
+            str(compose(CompositionQuery(xbar[row["x"]], y, xbar[row["z"]], n, "B")))
+            for n in range(1, 5)]

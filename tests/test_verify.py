@@ -1,0 +1,58 @@
+from fractions import Fraction
+
+import pytest
+
+from stdpuzzle import verify
+from stdpuzzle.verify import STATUS_FAIL, STATUS_PASS, run_verification
+
+# (claim, n_range at --nmax 1, status at 1, n_range at --nmax 8, status at 8):
+# each claim's reported range is the runner's contract with the reader.
+RANGES = [
+    ("pieces", "-", "pass", "-", "pass"),
+    ("catalan", "1..1", "pass", "1..8", "pass"),
+    ("double-factorial", "1..1", "pass", "1..8", "pass"),
+    ("secant", "1..1", "pass", "1..5", "pass"),
+    ("lattice-paths", "1..1", "pass", "1..6", "pass"),
+    ("fibonacci", "1..1", "pass", "1..8", "pass"),
+    ("fibonacci-alt-offset", "1..1", "flagged", "1..6", "flagged"),
+    ("linear-family", "1..1", "pass", "1..6", "pass"),
+    ("corner-refinements", "1..1", "pass", "1..5", "pass"),
+    ("corner-entringer", "1..1", "pass", "1..4", "pass"),
+    ("hypergeometric-sums", "1..1", "pass", "1..8", "pass"),
+    ("simple-piece-table", "1..1", "pass", "1..4", "pass"),
+    ("simple-pieces", "-", "pass", "-", "pass"),
+    ("converter-closed-forms", "1..1", "pass", "1..4", "pass"),
+    ("entringer-closed-forms", "-", "skipped", "2..3", "pass"),
+    ("converter-images", "1..1", "pass", "1..3", "pass"),
+    ("q-partition-lemma", "m+p<=4", "pass", "m+p<=4", "pass"),
+    ("refinement-table", "m<=2", "pass", "m<=4", "pass"),
+    ("composition", "n<=1", "pass", "n<=3", "pass"),
+    ("flip-pair-identity", "n<=1", "pass", "n<=3", "pass"),
+    ("whirlpool", "1..1", "pass", "1..3", "pass"),
+    ("product-identity", "n<=1", "pass", "n<=3", "pass"),
+    ("flip-invariance", "1..1", "pass", "1..4", "pass"),
+    ("engine-equivalence", "1..1", "pass", "1..3", "pass"),
+    ("converter-additivity", "1..1", "pass", "1..4", "pass"),
+]
+
+
+@pytest.mark.parametrize("nmax, column", ((1, 1), (8, 3)))
+def test_each_claim_reports_its_range_and_status(nmax, column):
+    report = run_verification(nmax=nmax)
+    assert [r.claim for r in report.results] == [row[0] for row in RANGES]
+    assert [(r.n_range, r.status) for r in report.results] == \
+        [row[column:column + 2] for row in RANGES]
+
+
+def test_hypergeometric_odd_sum_is_a_failed_check(monkeypatch):
+    # Each term (2n-k)(k+1)T is even for an integral T; a half-integral
+    # triangle makes the sum odd, which must grade as a mismatch.
+    monkeypatch.setattr(verify, "triangle_T", lambda n, k: Fraction(1, 2))
+    result = run_verification(["hypergeometric-sums"], nmax=3).results[0]
+    assert result.status == STATUS_FAIL
+
+
+def test_hypergeometric_halves_print_as_integers():
+    result = run_verification(["hypergeometric-sums"], nmax=8).results[0]
+    assert result.status == STATUS_PASS
+    assert all(v.isdigit() for v in result.to_dict()["computed"])
