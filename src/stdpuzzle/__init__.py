@@ -10,36 +10,42 @@ window's corners, closed-form counts with an independent verification
 suite, and sequence identification.
 """
 
-from .counting import (CornerTable, corner_table, count_bruteforce,
-                       count_corner_bottom, count_corner_top, count_dp,
-                       count_prefix, enumerate_puzzles)
-from .pieces import (EMPTY_SUPPORT, FULL_SUPPORT, PIECES, Puzzle,
-                     StandardPiece, Support, is_supported, minimal_support,
-                     piece, piece_table, pieces_of, reduce_window)
-from .sequences import (catalan, catalan_triangle_t, double_factorial,
-                        entringer, fibonacci, lattice_L,
-                        multinomial_all_pairs, registry_matches, secant,
-                        triangle_T, whirlpool_W)
-from .skeleton import (SkeletonGraph, all_simple_pieces, basic_skeleton,
-                       classify, count_linear_extensions, export_dot,
-                       generating_skeleton, puzzle_skeleton, simple_piece,
-                       validate_basic)
-from .transforms import (check_invariance, f1, f2, f3, f12, f123, mirror,
-                         t1, t2, t3)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CornerTable", "EMPTY_SUPPORT", "FULL_SUPPORT", "PIECES", "Puzzle",
-    "SkeletonGraph", "StandardPiece", "Support", "all_simple_pieces",
-    "basic_skeleton", "catalan", "catalan_triangle_t", "check_invariance",
-    "classify", "corner_table", "count_bruteforce", "count_corner_bottom",
-    "count_corner_top", "count_dp", "count_linear_extensions", "count_prefix",
-    "double_factorial", "entringer", "enumerate_puzzles", "export_dot",
-    "f1", "f12", "f123", "f2", "f3", "fibonacci", "generating_skeleton",
-    "is_supported", "lattice_L", "minimal_support", "mirror",
-    "multinomial_all_pairs", "piece", "piece_table", "pieces_of",
-    "puzzle_skeleton", "reduce_window", "registry_matches", "secant",
-    "simple_piece", "t1", "t2", "t3", "triangle_T", "validate_basic",
-    "whirlpool_W",
-]
+# Public name -> the submodule that defines it.  A name's submodule is
+# imported on first access (PEP 562), so `import stdpuzzle` loads none.
+_EXPORTS = (
+    dict.fromkeys(("CornerTable", "corner_table", "count_bruteforce",
+                   "count_corner_bottom", "count_corner_top", "count_dp",
+                   "count_prefix", "enumerate_puzzles"), "counting")
+    | dict.fromkeys(("EMPTY_SUPPORT", "FULL_SUPPORT", "PIECES", "Puzzle",
+                     "StandardPiece", "Support", "is_supported",
+                     "minimal_support", "piece", "piece_table", "pieces_of",
+                     "reduce_window"), "pieces")
+    | dict.fromkeys(("catalan", "catalan_triangle_t", "double_factorial",
+                     "entringer", "fibonacci", "lattice_L",
+                     "multinomial_all_pairs", "registry_matches", "secant",
+                     "triangle_T", "whirlpool_W"), "sequences")
+    | dict.fromkeys(("SkeletonGraph", "all_simple_pieces", "basic_skeleton",
+                     "classify", "count_linear_extensions", "export_dot",
+                     "generating_skeleton", "puzzle_skeleton", "simple_piece",
+                     "validate_basic"), "skeleton")
+    | dict.fromkeys(("check_invariance", "f1", "f2", "f3", "f12", "f123",
+                     "mirror", "t1", "t2", "t3"), "transforms")
+)
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -4,7 +4,10 @@ Subcommands: pieces, reduce, transform, skeleton, count, enumerate, seq,
 theorem, compose, verify, identify, families.  Structured results go to
 stdout as JSON (or CSV with --format csv); human-oriented progress lines
 go to stderr.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 I/O error.
+error, 3 I/O error, 4 a computation that could not finish (a failed
+internal cross-check, too deep a recursion or no memory left).
+
+Each handler imports the modules it runs, so a command loads only those.
 """
 
 from __future__ import annotations
@@ -14,32 +17,20 @@ import csv
 import json
 import sys
 
-from . import families as families_mod
-from . import theorems
-from .counting import (count_bruteforce, count_corner_bottom,
-                       count_corner_top, count_dp, enumerate_puzzles)
-from .identify import identify
 from .pieces import Support, piece_table, reduce_window
-from .sequences import REGISTRY, double_factorial
-from .skeleton import export_dot, puzzle_skeleton
-from .transforms import f1, f2, f3, f12, f123
-from .verify import run_verification
 
 # `seq` reads the registry under these old CLI names too.  Plain k!! is
 # served here alone: in the registry it would join every sweep's matches.
 _SEQUENCE_ALIASES = {"lattice": "lattice_smooth_paths",
                      "multinomial_pairs": "ordered_pair_arrangements"}
 
+# Theorem id -> its function's name in `theorems`; every one but
+# fibonacci takes (i, n).
 _THEOREM_FUNCS = {
-    "a123b": theorems.a123_plus_b,
-    "a12b": theorems.a12_plus_b,
-    "a123c": theorems.a123_plus_c,
-    "a12c": theorems.a12_plus_c,
-    "a23b": theorems.a23_plus_b,
-    "a2b": theorems.a2_plus_b,
-    "a12345b": theorems.a12345_plus_b,
-    "simple_piece": theorems.simple_piece_count,
-    "fibonacci": lambda i, n: theorems.fibonacci_family(n),
+    "a123b": "a123_plus_b", "a12b": "a12_plus_b", "a123c": "a123_plus_c",
+    "a12c": "a12_plus_c", "a23b": "a23_plus_b", "a2b": "a2_plus_b",
+    "a12345b": "a12345_plus_b", "simple_piece": "simple_piece_count",
+    "fibonacci": "fibonacci_family",
 }
 
 # Interface aliases for the same formulas (--base picks the P/Q variant).
@@ -52,7 +43,7 @@ _THEOREM_ALIASES = {
     "thm48": ("a12345b", "a12345b"),
 }
 
-_MAPS = {"f1": f1, "f2": f2, "f3": f3, "f12": f12, "f123": f123}
+_MAPS = ("f1", "f2", "f3", "f12", "f123")  # bijections in `transforms`
 
 
 def _write_csv(rows, out=None) -> None:
@@ -93,14 +84,16 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from . import transforms
     support = Support.parse(args.support)
-    image = _MAPS[args.map](support)
+    image = getattr(transforms, args.map)(support)
     payload = {"map": args.map, "support": str(support), "image": str(image)}
     _emit(args, payload, csv_rows=[payload])
     return 0
 
 
 def cmd_skeleton(args) -> int:
+    from .skeleton import export_dot, puzzle_skeleton
     support = Support.parse(args.support)
     graph = puzzle_skeleton(support, args.n)
     dot = export_dot(graph)
@@ -120,6 +113,8 @@ def cmd_skeleton(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .counting import (count_bruteforce, count_corner_bottom,
+                           count_corner_top, count_dp)
     support = Support.parse(args.support)
     if args.corner and args.engine == "brute":
         raise ValueError("--corner reads the DP's corner table; "
@@ -146,6 +141,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .counting import enumerate_puzzles
     support = Support.parse(args.support)
     puzzles = enumerate_puzzles(support, args.n)
     payload = {"support": str(support), "n": args.n,
@@ -156,6 +152,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_seq(args) -> int:
+    from .sequences import REGISTRY, double_factorial
     generators = {seq.name: seq.generator for seq in REGISTRY}
     generators["double_factorial"] = double_factorial
     for alias, name in _SEQUENCE_ALIASES.items():
@@ -179,7 +176,9 @@ def cmd_theorem(args) -> int:
         name = q_variant if (args.base or "P").upper() == "Q" else p_variant
     if name not in _THEOREM_FUNCS:
         raise ValueError(f"unknown theorem id {args.id!r}")
-    value = _THEOREM_FUNCS[name](args.i, args.n)
+    from . import theorems
+    fn = getattr(theorems, _THEOREM_FUNCS[name])
+    value = fn(args.n) if name == "fibonacci" else fn(args.i, args.n)
     payload = {"id": args.id, "resolved": name, "i": args.i, "n": args.n,
                "value": str(value)}
     _emit(args, payload, csv_rows=[payload])
@@ -187,6 +186,8 @@ def cmd_theorem(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from . import theorems
+    from .counting import count_dp
     query = theorems.CompositionQuery(args.x, args.y, args.z, args.n,
                                       args.converter)
     value = theorems.compose(query)
@@ -206,6 +207,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification
     scope = "all" if not args.claim else args.claim
     report = run_verification(scope=scope, nmax=args.nmax)
     for result in report.results:
@@ -219,6 +221,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identify(args) -> int:
+    from .identify import identify
     support = Support.parse(args.support)
     payload = identify(support, args.nmax, use_oeis=args.oeis,
                        cache_dir=args.cache_dir)
@@ -229,11 +232,15 @@ def cmd_identify(args) -> int:
 
 
 def cmd_families(args) -> int:
-    xs = [int(tok) for tok in args.x.split(",")] if args.x is not None else None
+    from .families import sweep
+    try:
+        xs = [int(tok) for tok in args.x.split(",")] if args.x is not None else None
+    except ValueError:
+        raise ValueError(f"--x expects comma-separated integers 1..20, "
+                         f"got {args.x!r}") from None
     # sweep checks its arguments at the call, so a rejected sweep exits
     # before --out is opened and truncated.
-    rows = families_mod.sweep(args.kind, args.nmax,
-                              include_open=args.include_open, xs=xs)
+    rows = sweep(args.kind, args.nmax, include_open=args.include_open, xs=xs)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         if args.format == "csv":
@@ -344,6 +351,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    # Exact counts print in full, past Python's 4300-digit str() limit
+    # (which Pythons before 3.10.7 do not have).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -354,6 +365,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except (RuntimeError, MemoryError) as exc:  # RecursionError is a RuntimeError
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

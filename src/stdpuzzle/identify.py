@@ -2,16 +2,13 @@
 
 Identification is a naming aid, never an oracle: matches are labeled
 "candidate match" and the OEIS round trip is opt-in, cached on disk, and
-degrades to registry-only on any network trouble.
+degrades to registry-only on any network trouble.  The modules that only
+the OEIS path and its cache need are imported there.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import warnings
-from pathlib import Path
 
 from .counting import count_prefix
 from .pieces import Support
@@ -22,7 +19,11 @@ CACHE_ENV_VAR = "STDPUZZLE_CACHE_DIR"
 _DEFAULT_CACHE = "~/.cache/stdpuzzle/oeis"
 
 
-def default_cache_dir() -> Path:
+def default_cache_dir():
+    """The OEIS cache directory, a pathlib.Path."""
+    import os
+    from pathlib import Path
+
     return Path(os.environ.get(CACHE_ENV_VAR, _DEFAULT_CACHE)).expanduser()
 
 
@@ -63,6 +64,10 @@ def oeis_lookup(prefix, cache_dir=None, timeout: float = 10.0) -> list[tuple[str
     Needs at least five terms.  Network or parse failures emit a warning
     and return an empty list; they never raise.
     """
+    import hashlib
+    import warnings
+    from pathlib import Path
+
     terms = [int(t) for t in prefix]
     if len(terms) < 5:
         raise ValueError("OEIS lookups need at least 5 terms")

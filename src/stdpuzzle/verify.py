@@ -443,15 +443,16 @@ CLAIMS = {
 
 
 def run_verification(scope="all", nmax: int = 3) -> VerificationReport:
-    """Run the claim suite (all claims or a list of claim ids).  This is
-    the one place that clamps nmax to each claim's cap, skips a claim
-    below its first n, grades the vectors and reports the range."""
+    """Run the claim suite (all claims or a list of claim ids, each run
+    once, in first-seen order).  This is the one place that clamps nmax to
+    each claim's cap, skips a claim below its first n, grades the vectors
+    and reports the range."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     if scope == "all":
         names = list(CLAIMS)
     else:
-        names = list(scope)
+        names = list(dict.fromkeys(scope))
         unknown = [n for n in names if n not in CLAIMS]
         if unknown:
             raise ValueError(f"unknown claim ids: {', '.join(unknown)}")

@@ -1,10 +1,17 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from stdpuzzle import FULL_SUPPORT
+from stdpuzzle import cli
 from stdpuzzle import identify as identify_mod
 from stdpuzzle.cli import main
 from stdpuzzle.sequences import REGISTRY
@@ -102,6 +109,15 @@ def test_seq(capsys):
     assert payload["values"] == ["1", "1", "2", "3", "8", "15"]
 
 
+def test_seq_prints_counts_past_the_str_digit_limit(capsys):
+    # (3000)!! = 2^1500 * 1500!; Decimal spells an int with no digit limit.
+    payload = run_json(capsys, "seq", "--name", "double_factorial_even",
+                       "--start", "1500", "--upto", "1500")
+    value, = payload["values"]
+    assert len(value) > 4300
+    assert value == str(Decimal(2 ** 1500 * math.factorial(1500)))
+
+
 def test_seq_reads_registry(capsys):
     for seq in REGISTRY:
         try:
@@ -182,6 +198,13 @@ def test_verify_skips_claim_below_its_first_n(capsys):
     assert claim["status"] == "skipped"
     assert claim["detail"] == "needs nmax >= 2"
     assert claim["n_range"] == "-" and claim["computed"] == []
+
+
+def test_verify_runs_a_repeated_claim_once(capsys):
+    payload = run_json(capsys, "verify", "--claim", "catalan", "--claim", "pieces",
+                       "--claim", "catalan")
+    assert [c["claim"] for c in payload["claims"]] == ["catalan", "pieces"]
+    assert payload["summary"]["pass"] == 2
 
 
 def test_verify_unknown_claim(capsys):
@@ -267,6 +290,58 @@ def test_rejected_families_command_keeps_the_out_file(tmp_path, capsys, bad):
                          *bad, "--out", str(out_file))
     assert code == 2 and "error" in err and out == ""
     assert out_file.read_text() == "old rows\n"
+
+
+@pytest.mark.parametrize("xs", ("4,a", "4,,8", ""))
+def test_malformed_x_names_the_option(capsys, xs):
+    code, out, err = run(capsys, "families", "--kind", "1", "--x", xs)
+    assert code == 2 and out == ""
+    assert err == f"error: --x expects comma-separated integers 1..20, got {xs!r}\n"
+
+
+@pytest.mark.parametrize("exc, message", (
+    (RuntimeError("cross-check failed"), "error: RuntimeError: cross-check failed\n"),
+    (RecursionError("maximum recursion depth exceeded"),
+     "error: RecursionError: maximum recursion depth exceeded\n"),
+    (MemoryError(), "error: MemoryError\n"),
+), ids=("RuntimeError", "RecursionError", "MemoryError"))
+def test_failed_computation_exits_4_without_traceback(monkeypatch, capsys, exc,
+                                                      message):
+    def handler(args):
+        raise exc
+    monkeypatch.setitem(cli._HANDLERS, "pieces", handler)
+    assert run(capsys, "pieces") == (4, "", message)
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("stdpuzzle"))
+import stdpuzzle
+bare = loaded()
+from stdpuzzle.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["count", "--support", "A2,A3", "--n", "5"])
+after_count = loaded()
+star = {}
+exec("from stdpuzzle import *", star)
+print(json.dumps({"bare": bare, "code": code, "out": out.getvalue(),
+                  "after_count": after_count, "all": stdpuzzle.__all__,
+                  "star": sorted(k for k in star if k != "__builtins__")}))
+"""
+
+
+def test_commands_import_only_the_modules_they_run():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    probe = json.loads(done.stdout)
+    assert probe["bare"] == ["stdpuzzle"]
+    assert probe["code"] == 0 and json.loads(probe["out"])["count"] == "132"
+    assert probe["after_count"] == ["stdpuzzle", "stdpuzzle.cli",
+                                    "stdpuzzle.counting", "stdpuzzle.pieces"]
+    # Every public name resolves, and `import *` binds exactly those.
+    assert len(probe["all"]) == 51 and probe["star"] == sorted(probe["all"])
 
 
 def test_empty_csv_table_prints_nothing(capsys):
