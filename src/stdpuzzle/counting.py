@@ -39,12 +39,11 @@ is the `reduce_window` filter over every grid filling in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, count, islice
 from operator import add
 from typing import Iterator, Mapping, Optional
 
-from .pieces import Puzzle, Support, reduce_window
+from .pieces import Frozen, Puzzle, Support, reduce_window
 
 #: Ceiling for the brute force, set by the listing walk and the cost of `_moves`.
 BRUTE_FORCE_BOUND = 5
@@ -141,16 +140,17 @@ def _layers(mask: int) -> Iterator[Mapping[tuple[int, int], int]]:
         layer = out
 
 
-@dataclass(frozen=True)
-class CornerTable:
+class CornerTable(Frozen):
     """Counts of m-column puzzles refined by the last column's rank pair.
 
     entries[(u, v)] counts puzzles whose bottom-right label has rank u and
     top-right label rank v among all 2m labels.
     """
 
-    columns: int
-    entries: Mapping[tuple[int, int], int]
+    __slots__ = ("columns", "entries")
+
+    def __init__(self, columns: int, entries: Mapping[tuple[int, int], int]):
+        self._set(columns=columns, entries=entries)
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -177,7 +177,10 @@ def corner_table(support: Support, m: int) -> CornerTable:
 
 
 def count_prefix(support: Support, nmax: int) -> list[int]:
-    """Counts of supported n-puzzles for n = 1..nmax, from one DP pass."""
+    """Counts of supported n-puzzles for n = 1..nmax, from one DP pass.
+
+    Nothing is cached: each call runs the DP afresh on `support.mask`.
+    """
     if nmax < 1:
         raise ValueError("puzzles need n >= 1 pieces")
     return [sum(layer.values())
@@ -214,7 +217,7 @@ def _moves(support: Support, n: int) -> list[dict]:
         raise ValueError("puzzles need n >= 1 pieces")
     if n > BRUTE_FORCE_BOUND:
         raise ValueError(f"n={n} exceeds the brute-force bound {BRUTE_FORCE_BOUND}")
-    members = support.members
+    mask = support.mask
     moves: list[dict] = [{}]
     states = {(1, 2), (2, 1)}
     for m in range(1, n + 1):
@@ -227,7 +230,7 @@ def _moves(support: Support, n: int) -> list[dict]:
                 new = _relabel(u2, v2, size)
                 for (u, v), targets in layer.items():
                     # window: TL = old top, TR = v2, BL = old bottom, BR = u2
-                    if reduce_window(new[v - 1], v2, new[u - 1], u2) in members:
+                    if mask >> reduce_window(new[v - 1], v2, new[u - 1], u2).ordinal & 1:
                         targets.append((u2, v2))
         moves.append(layer)
         states = {t for targets in layer.values() for t in targets}

@@ -17,8 +17,22 @@ rule behind `theorems.compose`), so converter effects add up:
 The sweep therefore runs `count_prefix` only on the base ({}) and the six
 single-converter supports of each group, which the descriptor order
 yields first, and builds every row with two or more converters by that
-sum, in exact integers.  The `converter-additivity` claim of `verify`
-recounts a sample of the added rows directly.
+sum, in exact integers.
+
+It also counts each such support at most once up to symmetry.  The maps
+f1, f2 and f3 send the puzzles of a support onto those of its image, and
+together they generate 8 maps (`transforms.SYMMETRIES`).  The sweep works
+on 24-bit support masks: it builds each group's base mask and the 64
+converter masks once, and files each counted prefix under the least of
+the support's 8 images.  A base or single-converter support with the same
+least image reuses that prefix: the full kind-2 sweep runs the DP on 631
+supports instead of 4693.
+
+A row's prefix therefore rests on three things: the DP, additivity,
+which the `converter-additivity` claim of `verify` checks by recounting a
+sample of added rows directly, and flip invariance, which the
+`flip-invariance` claim checks by counting supports and their f1, f2 and
+f3 images in separate DP runs.
 
 Family 10 (the smooth-lattice-path family) has no refinement formula; it
 is excluded by default and included, flagged, on request.  Distinct
@@ -29,17 +43,25 @@ prefix already found instead of recounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from operator import or_
 from typing import Iterator, Optional
 
 from .counting import count_prefix
-from .pieces import Support
+from .pieces import Frozen, Support
 from .sequences import registry_matches
 from .theorems import SIMPLE_PIECES, simple_piece_support
-from .transforms import f2, f12
+from .transforms import SYMMETRIES, f2, f12, map_mask
 
 _FORMULA_FREE = frozenset(r.x for r in SIMPLE_PIECES if not r.refinement_known)
+
+#: Largest nmax a sweep accepts.  On a 2-CPU machine the full kind-2
+#: sweep takes about 15 s at nmax = 24 (5 s at 16, 34 s at 32), and the
+#: full kind-1 sweep 1.3 s.
+NMAX_BOUND = 24
+
+#: The 64 converter subsets by size, then lexicographically.
+_SUBSETS = tuple(frozenset(c) for r in range(7) for c in combinations(range(1, 7), r))
 
 
 def _check_index(name: str, value) -> None:
@@ -47,60 +69,74 @@ def _check_index(name: str, value) -> None:
         raise ValueError(f"{name} out of range 1..20")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+def _converter_mask(converter_kind: str, subset) -> int:
+    return Support.of(*[f"{converter_kind}{y}" for y in subset]).mask
+
+
+def _base_mask(x: int, z: Optional[int], mirrored: bool) -> int:
+    """The mask of a group's support without converters."""
+    base = simple_piece_support(x)
+    if mirrored:
+        base = f2(base)
+    if z is not None:
+        base |= f12(simple_piece_support(z))
+    return base.mask
+
+
+def _images(mask: int) -> list[int]:
+    """The mask's images under the 8 symmetries, in SYMMETRIES order."""
+    return [map_mask(perm, mask) for perm in SYMMETRIES]
+
+
+class FamilySpec(Frozen):
     """One descriptor in a sweep."""
 
-    kind: int                       # 1 or 2
-    x: int                          # simple piece index 1..20
-    converter_kind: str             # "B" or "C"
-    converter_subset: frozenset
-    z: Optional[int] = None         # kind 2 only
-    mirrored: bool = False          # kind 1 only: use the decreasing twin
+    __slots__ = ("kind",              # 1 or 2
+                 "x",                 # simple piece index 1..20
+                 "converter_kind",    # "B" or "C"
+                 "converter_subset",
+                 "z",                 # kind 2 only
+                 "mirrored")          # kind 1 only: use the decreasing twin
 
-    def __post_init__(self):
-        if self.kind not in (1, 2):
+    def __init__(self, kind: int, x: int, converter_kind: str, converter_subset,
+                 z: Optional[int] = None, mirrored: bool = False):
+        if kind not in (1, 2):
             raise ValueError("kind must be 1 or 2")
-        _check_index("x", self.x)
-        if self.converter_kind not in ("B", "C"):
+        _check_index("x", x)
+        if converter_kind not in ("B", "C"):
             raise ValueError("converter kind must be 'B' or 'C'")
-        if not frozenset(self.converter_subset) <= frozenset(range(1, 7)):
+        converter_subset = frozenset(converter_subset)
+        if not converter_subset <= frozenset(range(1, 7)):
             raise ValueError("converter subset must lie in 1..6")
-        if (self.kind == 2) != (self.z is not None):
+        if (kind == 2) != (z is not None):
             raise ValueError("z is required exactly for kind 2")
-        if self.kind == 2:
-            _check_index("z", self.z)
-        if self.kind == 2 and self.mirrored:
+        if kind == 2:
+            _check_index("z", z)
+        if kind == 2 and mirrored:
             raise ValueError("mirrored applies to kind 1 only")
+        self._set(kind=kind, x=x, converter_kind=converter_kind,
+                  converter_subset=converter_subset, z=z, mirrored=mirrored)
 
     @property
     def formula_free(self) -> bool:
         return self.x in _FORMULA_FREE or self.z in _FORMULA_FREE
 
     def support(self) -> Support:
-        converters = Support.of(
-            *[f"{self.converter_kind}{i}" for i in sorted(self.converter_subset)])
-        if self.kind == 1:
-            base = simple_piece_support(self.x)
-            if self.mirrored:
-                base = f2(base)
-            return base | converters
-        return simple_piece_support(self.x) | converters | f12(simple_piece_support(self.z))
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "x": self.x,
-            "converter_kind": self.converter_kind,
-            "converter_subset": ",".join(map(str, sorted(self.converter_subset))),
-            "z": self.z if self.z is not None else "",
-            "mirrored": self.mirrored,
-        }
+        return Support.from_mask(_base_mask(self.x, self.z, self.mirrored)
+                                 | _converter_mask(self.converter_kind,
+                                                   self.converter_subset))
 
 
-def _subsets() -> list[frozenset]:
-    """The 64 converter subsets by size, then lexicographically."""
-    return [frozenset(c) for r in range(7) for c in combinations(range(1, 7), r)]
+def _indices(kind: int, include_open: bool, xs) -> list[int]:
+    """The simple-piece indices of a sweep, checked along with the kind."""
+    if kind not in (1, 2):
+        raise ValueError("kind must be 1 or 2")
+    indices = list(xs) if xs is not None else list(range(1, 21))
+    for x in indices:
+        _check_index("x", x)
+    if not include_open:
+        indices = [x for x in indices if x not in _FORMULA_FREE]
+    return indices
 
 
 def iter_family_specs(kind: int, include_open: bool = False,
@@ -113,66 +149,83 @@ def iter_family_specs(kind: int, include_open: bool = False,
     only appears with include_open.  The kind and every index are checked
     here, before the first descriptor is asked for.
     """
-    if kind not in (1, 2):
-        raise ValueError("kind must be 1 or 2")
-    indices = list(xs) if xs is not None else list(range(1, 21))
-    for x in indices:
-        _check_index("x", x)
-    if not include_open:
-        indices = [x for x in indices if x not in _FORMULA_FREE]
-    subsets = _subsets()
+    indices = _indices(kind, include_open, xs)
     if kind == 1:
         return (FamilySpec(1, x, converter_kind, subset, mirrored=mirrored)
                 for x in indices for converter_kind in ("B", "C")
-                for subset in subsets for mirrored in (False, True))
+                for subset in _SUBSETS for mirrored in (False, True))
     return (FamilySpec(2, x, converter_kind, subset, z=z)
             for x in indices for z in indices for converter_kind in ("B", "C")
-            for subset in subsets)
+            for subset in _SUBSETS)
 
 
 def sweep(kind: int, nmax: int, include_open: bool = False,
           xs=None) -> Iterator[dict]:
-    """Rows, one per descriptor: support, count prefix, registry match.
+    """Rows, one per descriptor of `iter_family_specs` and in its order:
+    support, count prefix, registry match.
 
     The arguments are checked at the call; the rows come lazily.  Each
-    group's base and single-converter supports are counted, its larger
-    subsets are added up from them, and a descriptor assembling a support
-    seen before is marked duplicate_support and reuses its prefix.
+    group's base and single-converter supports are counted, once per
+    symmetry orbit, its larger subsets are added up from them, and a
+    descriptor assembling a support seen before is marked
+    duplicate_support and reuses its prefix.
     """
-    if nmax < 1:
-        raise ValueError("nmax must be >= 1")
-    return _rows(iter_family_specs(kind, include_open=include_open, xs=xs), nmax)
+    if not 1 <= nmax <= NMAX_BOUND:
+        raise ValueError(f"nmax must be in 1..{NMAX_BOUND}, got {nmax}")
+    return _rows(kind, _indices(kind, include_open, xs), nmax)
 
 
-def _rows(specs: Iterator[FamilySpec], nmax: int) -> Iterator[dict]:
-    seen: dict[str, list[int]] = {}
-    # (group, subset) -> prefix, for the empty and single-converter subsets
-    counted: dict[tuple, list[int]] = {}
-    for spec in specs:
-        subset = spec.converter_subset
-        group = (spec.x, spec.z, spec.converter_kind, spec.mirrored)
-        support = spec.support()
-        key = str(support)
-        duplicate = key in seen
-        if duplicate:
-            prefix = seen[key]
-        elif len(subset) < 2:
-            prefix = count_prefix(support, nmax)
-        else:
-            base = counted[group, frozenset()]
-            singles = [counted[group, frozenset({y})] for y in subset]
-            prefix = [b + sum(s) - len(s) * b for b, *s in zip(base, *singles)]
-        seen.setdefault(key, prefix)
-        if len(subset) < 2:
-            counted[group, subset] = prefix
-        matches = registry_matches(prefix)
-        row = spec.descriptor()
-        row.update({
-            "support": key,
-            "formula_free": spec.formula_free,
-            "duplicate_support": duplicate,
-            "prefix": [str(v) for v in prefix],
-            "match": matches[0]["name"] if matches else "",
-            "match_detail": matches[0] if matches else None,
-        })
-        yield row
+def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
+    subset_texts = [",".join(map(str, sorted(s))) for s in _SUBSETS]
+    converter_masks = {ck: [_converter_mask(ck, s) for s in _SUBSETS] for ck in "BC"}
+    # the symmetry images of the base's converters (none or one), by mask
+    small_images = {m: _images(m) for masks in converter_masks.values()
+                    for m, s in zip(masks, _SUBSETS) if len(s) < 2}
+    seen: dict[int, list[int]] = {}    # support mask -> prefix
+    orbits: dict[int, list[int]] = {}  # least symmetry image -> prefix
+    pairs = ([(x, None) for x in indices] if kind == 1
+             else [(x, z) for x in indices for z in indices])
+    mirrorings = (False, True) if kind == 1 else (False,)
+    for x, z in pairs:
+        formula_free = x in _FORMULA_FREE or z in _FORMULA_FREE
+        bases = [_base_mask(x, z, mirrored) for mirrored in mirrorings]
+        base_images = [_images(base) for base in bases]
+        for converter_kind in ("B", "C"):
+            # (mirrored, subset) -> prefix, for the empty and single subsets
+            counted: dict[tuple, list[int]] = {}
+            for subset, text, converters in zip(_SUBSETS, subset_texts,
+                                                converter_masks[converter_kind]):
+                for mirrored, base, images in zip(mirrorings, bases, base_images):
+                    mask = base | converters
+                    duplicate = mask in seen
+                    if duplicate:
+                        prefix = seen[mask]
+                    elif len(subset) < 2:
+                        least = min(map(or_, images, small_images[converters]))
+                        prefix = orbits.get(least)
+                        if prefix is None:
+                            prefix = orbits[least] = count_prefix(
+                                Support.from_mask(mask), nmax)
+                    else:
+                        base_prefix = counted[mirrored, frozenset()]
+                        singles = [counted[mirrored, frozenset({y})] for y in subset]
+                        prefix = [b + sum(s) - len(s) * b
+                                  for b, *s in zip(base_prefix, *singles)]
+                    seen.setdefault(mask, prefix)
+                    if len(subset) < 2:
+                        counted[mirrored, subset] = prefix
+                    matches = registry_matches(prefix)
+                    yield {
+                        "kind": kind,
+                        "x": x,
+                        "converter_kind": converter_kind,
+                        "converter_subset": text,
+                        "z": "" if z is None else z,
+                        "mirrored": mirrored,
+                        "support": str(Support.from_mask(mask)),
+                        "formula_free": formula_free,
+                        "duplicate_support": duplicate,
+                        "prefix": [str(v) for v in prefix],
+                        "match": matches[0]["name"] if matches else "",
+                        "match_detail": matches[0] if matches else None,
+                    }

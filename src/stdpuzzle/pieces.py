@@ -16,18 +16,66 @@ distinct window reductions is the puzzle's minimal support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
-@dataclass(frozen=True, order=True)
-class StandardPiece:
-    """One of the 24 order patterns a 2x2 window can realize."""
+class Frozen:
+    """Base of the package's immutable value classes.
 
-    category: str  # A, B, C or D
-    index: int     # 1..6
-    letter: str    # Han's single-letter code
-    grid: tuple[tuple[int, int], tuple[int, int]]  # ((TL, TR), (BL, BR))
+    A subclass names its fields in `__slots__` and sets them once, in its
+    `__init__`, through `_set`.  Instances are equal, and hash alike, when
+    they are of the same class and their fields are equal.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The field values (a tuple, or the value of a single field), read in C.
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+@total_ordering
+class StandardPiece(Frozen):
+    """One of the 24 order patterns a 2x2 window can realize; pieces order
+    by (category, index, letter, grid)."""
+
+    __slots__ = ("category",  # A, B, C or D
+                 "index",     # 1..6
+                 "letter",    # Han's single-letter code
+                 "grid")      # ((TL, TR), (BL, BR))
+
+    def __init__(self, category: str, index: int, letter: str,
+                 grid: tuple[tuple[int, int], tuple[int, int]]):
+        self._set(category=category, index=index, letter=letter, grid=grid)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values < other._values
 
     @property
     def code(self) -> str:
@@ -94,6 +142,13 @@ PIECES: tuple[StandardPiece, ...] = (
 _BY_CODE = {p.code: p for p in PIECES}
 _BY_LETTER = {p.letter: p for p in PIECES}
 
+#: _SPELLING[k][bits]: the codes of category k ("ABCD"[k]) whose pieces are
+#: in `bits`, that category's 6-bit slice of a support mask.
+_SPELLING = tuple(
+    tuple([p.code for i, p in enumerate(PIECES[6 * k:6 * k + 6]) if bits >> i & 1]
+          for bits in range(64))
+    for k in range(4))
+
 
 def _pattern_key(tl: int, tr: int, bl: int, br: int) -> int:
     # Six pairwise comparisons pin the relative order of four distinct values.
@@ -130,24 +185,22 @@ def reduce_window(tl: int, tr: int, bl: int, br: int) -> StandardPiece:
     return PIECES[_PATTERN_ORDINAL[_pattern_key(tl, tr, bl, br)]]
 
 
-@dataclass(frozen=True)
-class Puzzle:
+class Puzzle(Frozen):
     """A 2x(n+1) grid holding each of 1..2n+2 exactly once (n >= 1 pieces)."""
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    __slots__ = ("top", "bottom")
 
-    def __post_init__(self):
-        object.__setattr__(self, "top", tuple(self.top))
-        object.__setattr__(self, "bottom", tuple(self.bottom))
-        cols = len(self.top)
-        if cols != len(self.bottom):
+    def __init__(self, top: Iterable[int], bottom: Iterable[int]):
+        top, bottom = tuple(top), tuple(bottom)
+        cols = len(top)
+        if cols != len(bottom):
             raise ValueError("top and bottom rows differ in length")
         if cols < 2:
             raise ValueError("a puzzle needs at least two columns (one piece)")
-        labels = sorted(self.top + self.bottom)
+        labels = sorted(top + bottom)
         if labels != list(range(1, 2 * cols + 1)):
             raise ValueError(f"labels must be exactly 1..{2 * cols}, each once")
+        self._set(top=top, bottom=bottom)
 
     @property
     def n(self) -> int:
@@ -171,68 +224,79 @@ class Puzzle:
         return " ".join(map(str, self.top)) + " / " + " ".join(map(str, self.bottom))
 
 
-@dataclass(frozen=True)
-class Support:
-    """A set of standard pieces, iterated in canonical (category, index) order."""
+class Support(Frozen):
+    """A set of standard pieces, held as a 24-bit mask (bit i is the piece
+    of ordinal i) and iterated in canonical A1..D6 order."""
 
-    members: frozenset[StandardPiece]
+    __slots__ = ("mask",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        for p in self.members:
+    def __init__(self, members: Iterable[StandardPiece]):
+        mask = 0
+        for p in members:
             if not isinstance(p, StandardPiece):
                 raise TypeError(f"not a StandardPiece: {p!r}")
+            mask |= 1 << p.ordinal
+        self._set(mask=mask)
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "Support":
+        """The support whose membership mask is `mask` (0 <= mask < 2^24)."""
+        if not 0 <= mask < 1 << 24:
+            raise ValueError(f"not a 24-bit support mask: {mask!r}")
+        support = object.__new__(cls)
+        object.__setattr__(support, "mask", mask)
+        return support
 
     @classmethod
     def of(cls, *pieces: StandardPiece | str | Iterable) -> "Support":
         """Build a support from pieces, codes, or iterables of either."""
-        out = set()
+        mask = 0
         for item in pieces:
             if isinstance(item, StandardPiece):
-                out.add(item)
+                mask |= 1 << item.ordinal
             elif isinstance(item, str):
-                out.add(piece(item))
+                mask |= 1 << piece(item).ordinal
             else:
-                out.update(cls.of(*item).members)
-        return cls(frozenset(out))
+                mask |= cls.of(*item).mask
+        return cls.from_mask(mask)
 
     @classmethod
     def parse(cls, text: str) -> "Support":
         """Parse a comma-separated list of codes, e.g. "A1,A2,A3" or "A,B,D"."""
-        text = text.strip()
-        if not text:
-            return cls(frozenset())
         return cls.of(*[tok for tok in text.split(",") if tok.strip()])
 
     @property
-    def mask(self) -> int:
-        """24-bit membership mask in canonical piece order."""
-        m = 0
-        for p in self.members:
-            m |= 1 << p.ordinal
-        return m
+    def members(self) -> frozenset[StandardPiece]:
+        """The pieces, as a set."""
+        return frozenset(self)
 
     def __iter__(self) -> Iterator[StandardPiece]:
-        return iter(sorted(self.members))
+        mask = self.mask
+        return (p for i, p in enumerate(PIECES) if mask >> i & 1)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __contains__(self, p: StandardPiece) -> bool:
-        return p in self.members
+        return isinstance(p, StandardPiece) and bool(self.mask >> p.ordinal & 1)
 
     def __or__(self, other: "Support") -> "Support":
-        return Support(self.members | other.members)
+        return Support.from_mask(self.mask | other.mask)
 
     def __bool__(self) -> bool:
-        return bool(self.members)
+        return self.mask != 0
 
     def __str__(self) -> str:
-        return ",".join(p.code for p in self)
+        a, b, c, d = _SPELLING
+        mask = self.mask
+        return ",".join(a[mask & 63] + b[mask >> 6 & 63] + c[mask >> 12 & 63] + d[mask >> 18])
+
+    def __repr__(self) -> str:
+        return f"Support.parse({str(self)!r})"
 
 
 EMPTY_SUPPORT = Support(frozenset())
-FULL_SUPPORT = Support(frozenset(PIECES))
+FULL_SUPPORT = Support(PIECES)
 
 
 def pieces_of(puzzle: Puzzle) -> list[StandardPiece]:
@@ -246,9 +310,9 @@ def pieces_of(puzzle: Puzzle) -> list[StandardPiece]:
 
 def minimal_support(puzzle: Puzzle) -> Support:
     """The set of distinct window reductions of a puzzle."""
-    return Support(frozenset(pieces_of(puzzle)))
+    return Support(pieces_of(puzzle))
 
 
 def is_supported(puzzle: Puzzle, support: Support) -> bool:
     """True iff every window reduction of the puzzle lies in the support."""
-    return minimal_support(puzzle).members <= support.members
+    return not minimal_support(puzzle).mask & ~support.mask

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .counting import count_prefix
-from .pieces import Support, piece
+from .pieces import Frozen, Support, piece
 from .sequences import (catalan, double_factorial, entringer, fibonacci,
                         lattice_L, multinomial_all_pairs, secant)
 from .transforms import f1, f2, f12, f123
@@ -50,15 +49,17 @@ def _as_int(value) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class SimplePieceRow:
+class SimplePieceRow(Frozen):
     """One row of the 20-family table of 1-simple pieces."""
 
-    x: int
-    support: Support
-    sequence: str                       # human-readable formula label
-    count: Callable[[int], int]
-    refinement_known: bool = True
+    __slots__ = ("x", "support",
+                 "sequence",  # human-readable formula label
+                 "count", "refinement_known")
+
+    def __init__(self, x: int, support: Support, sequence: str,
+                 count: Callable[[int], int], refinement_known: bool = True):
+        self._set(x=x, support=support, sequence=sequence, count=count,
+                  refinement_known=refinement_known)
 
 
 def _row(x, codes, sequence, count, refinement_known=True):
@@ -381,29 +382,25 @@ def ty(y: int, i: int, j: int, k: int, l: int, m: int, p: int) -> int:
     raise ValueError(f"converter index {y} out of range 1..6")
 
 
-@dataclass(frozen=True)
-class CompositionQuery:
+class CompositionQuery(Frozen):
     """Simple piece x, converter index y of the given kind, mirrored simple
     piece z, puzzle length n."""
 
-    x: int
-    y: int
-    z: int
-    n: int
-    converter_kind: str = "B"
+    __slots__ = ("x", "y", "z", "n", "converter_kind")
 
-    def __post_init__(self):
-        for v in (self.x, self.z):
+    def __init__(self, x: int, y: int, z: int, n: int, converter_kind: str = "B"):
+        for v in (x, z):
             if v not in range(1, 21):
                 raise ValueError(f"simple piece index {v} out of range 1..20")
             if not simple_piece_row(v).refinement_known:
                 raise ValueError(f"family {v} has no refinement; composition unavailable")
-        if self.y not in range(1, 7):
-            raise ValueError(f"converter index {self.y} out of range 1..6")
-        if self.n < 1:
+        if y not in range(1, 7):
+            raise ValueError(f"converter index {y} out of range 1..6")
+        if n < 1:
             raise ValueError("puzzles need n >= 1 pieces")
-        if self.converter_kind not in ("B", "C"):
+        if converter_kind not in ("B", "C"):
             raise ValueError("converter kind must be 'B' or 'C'")
+        self._set(x=x, y=y, z=z, n=n, converter_kind=converter_kind)
 
 
 def compose_support(query: CompositionQuery) -> Support:

@@ -3,7 +3,7 @@
 Three grid operations send standard puzzles to standard puzzles: mirroring
 the columns (t1), swapping the rows (t2), and complementing every label
 (t3).  On the 24-piece alphabet there are three companion bijections f1,
-f2, f3, given here as explicit lookup tables:
+f2, f3, given here as permutations of the piece ordinals:
 
     f1:  A_i -> A_{i+3},  B_i -> C_{i+3},  C_i -> B_{i+3},  D_i -> D_{i+3}
          (indices mod 6, representatives 1..6)
@@ -18,7 +18,7 @@ with two independent brute-force counts.
 
 from __future__ import annotations
 
-from .pieces import PIECES, Puzzle, StandardPiece, Support, piece
+from .pieces import PIECES, Puzzle, StandardPiece, Support
 
 
 def t1(puzzle: Puzzle) -> Puzzle:
@@ -38,49 +38,59 @@ def t3(puzzle: Puzzle) -> Puzzle:
                   tuple(m + 1 - a for a in puzzle.bottom))
 
 
-_F3_INDEX = {1: 1, 2: 5, 3: 6, 4: 4, 5: 2, 6: 3}
+# Each map of the table above as a permutation of the piece ordinals
+# (category * 6 + index - 1): entry i is the ordinal of PIECES[i]'s image.
+F1 = tuple((0, 2, 1, 3)[i // 6] * 6 + (i + 3) % 6 for i in range(24))
+F2 = tuple((3 - i // 6) * 6 + i % 6 for i in range(24))
+F3 = tuple((3 - i // 6) * 6 + (0, 4, 5, 3, 1, 2)[i % 6] for i in range(24))
+_PERMS = {1: F1, 2: F2, 3: F3}
 
 
-def _shift3(i: int) -> int:
-    return (i + 2) % 6 + 1
+def map_mask(perm: tuple[int, ...], mask: int) -> int:
+    """The image of a 24-bit support mask under a piece permutation."""
+    image = 0
+    for i, j in enumerate(perm):
+        if mask >> i & 1:
+            image |= 1 << j
+    return image
 
 
-def _build_tables() -> tuple[dict, dict, dict]:
-    f1 = {}
-    f2 = {}
-    f3 = {}
-    cat_f1 = {"A": "A", "B": "C", "C": "B", "D": "D"}
-    cat_swap = {"A": "D", "B": "C", "C": "B", "D": "A"}
-    for p in PIECES:
-        f1[p] = piece(f"{cat_f1[p.category]}{_shift3(p.index)}")
-        f2[p] = piece(f"{cat_swap[p.category]}{p.index}")
-        f3[p] = piece(f"{cat_swap[p.category]}{_F3_INDEX[p.index]}")
-    return f1, f2, f3
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation p after q."""
+    return tuple(p[j] for j in q)
 
 
-_F1_TABLE, _F2_TABLE, _F3_TABLE = _build_tables()
-_TABLES = {1: _F1_TABLE, 2: _F2_TABLE, 3: _F3_TABLE}
+def _generate(*perms: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every composite of the given permutations, the identity first."""
+    group = {tuple(range(24))}
+    new = group
+    while new:
+        new = {_compose(g, p) for g in new for p in perms} - group
+        group |= new
+    return tuple(sorted(group))
+
+
+#: The maps f1, f2 and f3 generate, as permutations: each sends the
+#: puzzles of a support onto those of its image, so all of a support's
+#: images count alike.
+SYMMETRIES = _generate(F1, F2, F3)
 
 
 def f_piece(map_id: int, p: StandardPiece) -> StandardPiece:
     """Image of a single piece under f1, f2 or f3."""
-    return _TABLES[map_id][p]
-
-
-def _apply(table: dict, support: Support) -> Support:
-    return Support(frozenset(table[p] for p in support.members))
+    return PIECES[_PERMS[map_id][p.ordinal]]
 
 
 def f1(support: Support) -> Support:
-    return _apply(_F1_TABLE, support)
+    return Support.from_mask(map_mask(F1, support.mask))
 
 
 def f2(support: Support) -> Support:
-    return _apply(_F2_TABLE, support)
+    return Support.from_mask(map_mask(F2, support.mask))
 
 
 def f3(support: Support) -> Support:
-    return _apply(_F3_TABLE, support)
+    return Support.from_mask(map_mask(F3, support.mask))
 
 
 def f12(support: Support) -> Support:
@@ -121,5 +131,5 @@ def check_invariance(support: Support, n: int, map_id) -> bool:
 
     if n > INVARIANCE_BOUND:
         raise ValueError(f"n={n} exceeds the brute-force bound {INVARIANCE_BOUND}")
-    table = _TABLES[_resolve_map(map_id)]
-    return count_bruteforce(support, n) == count_bruteforce(_apply(table, support), n)
+    image = Support.from_mask(map_mask(_PERMS[_resolve_map(map_id)], support.mask))
+    return count_bruteforce(support, n) == count_bruteforce(image, n)

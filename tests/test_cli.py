@@ -344,6 +344,51 @@ def test_commands_import_only_the_modules_they_run():
     assert len(probe["all"]) == 51 and probe["star"] == sorted(probe["all"])
 
 
+_DATACLASSES_PROBE = """
+import contextlib, io, json, sys
+from stdpuzzle.cli import main
+seen = {}
+for argv in (["count", "--support", "A2,A3", "--n", "5"],
+             ["identify", "--support", "A2,A3", "--nmax", "5"],
+             ["families", "--kind", "1", "--nmax", "2", "--x", "16"],
+             ["compose", "--x", "4", "--y", "2", "--z", "9", "--n", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen[argv[0]] = [code, "dataclasses" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_cold_commands_do_not_import_dataclasses():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _DATACLASSES_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {
+        name: [0, False] for name in ("count", "identify", "families", "compose")}
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["families", "--kind", "1", "--nmax", "200", "--x", "4"],
+     "error: nmax must be in 1..24, got 200\n"),
+    (["seq", "--name", "catalan", "--upto", "2001"],
+     "error: --upto 2001 exceeds the ceiling 2000\n"),
+    (["seq", "--name", "secant", "--upto", "501"],
+     "error: secant index 501 out of range 0..500\n"),
+), ids=("families", "seq", "secant"))
+def test_inputs_past_a_ceiling_exit_2_with_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)
+
+
+def test_inputs_at_a_ceiling_run(capsys):
+    payload = run_json(capsys, "seq", "--name", "naturals", "--upto", "2000")
+    assert payload["values"][-1] == "2000"
+    code, out, _ = run(capsys, "families", "--kind", "1", "--nmax", "24",
+                       "--x", "16")
+    assert code == 0
+    assert json.loads(out.splitlines()[0])["prefix"] == ["1"] * 24
+
+
 def test_empty_csv_table_prints_nothing(capsys):
     # {B1} has no 2-puzzles: no rows, so no header line either, as with
     # an empty families CSV.

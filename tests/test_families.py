@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from stdpuzzle import families
@@ -81,6 +84,9 @@ def test_every_row_equals_a_direct_count(kind):
     rows = list(sweep(kind, 6, include_open=True, xs=xs))
     assert len(rows) == len(specs)
     for spec, row in zip(specs, rows):
+        assert [row[k] for k in ("kind", "x", "converter_kind", "z", "mirrored")] == [
+            spec.kind, spec.x, spec.converter_kind, spec.z or "", spec.mirrored]
+        assert row["converter_subset"] == ",".join(map(str, sorted(spec.converter_subset)))
         assert row["support"] == str(spec.support())
         assert row["prefix"] == [str(v) for v in count_prefix(spec.support(), 6)]
 
@@ -92,16 +98,49 @@ def test_sweep_counts_only_base_and_single_converter_supports(monkeypatch):
         counted.append(support)
         return count_prefix(support, nmax)
 
+    # The sweep runs the DP through this name alone, so every run is seen.
     monkeypatch.setattr(families, "count_prefix", counting)
     rows = list(sweep(1, 4, xs=[4]))
     assert len(rows) == 2 ** 6 * 2 * 2
-    # 2 converter kinds x 2 mirrorings x (base + 6 single converters)
-    assert len(counted) <= 28
+    # 2 converter kinds x 2 mirrorings x (base + 6 single converters) are
+    # 26 distinct supports; f2 sends each plain group onto the mirrored
+    # group of the other converter kind, so they form 13 symmetry orbits.
+    assert len(counted) == 13
+    small = {r["support"] for r in rows if len(r["converter_subset"]) < 2}
+    assert {str(s) for s in counted} <= small
+    counted.clear()
+    assert sum(1 for _ in sweep(2, 1)) == 19 * 19 * 2 ** 6 * 2
+    assert len(counted) == 631  # of 4693 distinct base and single supports
+
+
+@pytest.mark.parametrize("kind, xs, rows", ((1, None, 19 * 2 * 2 * 7),
+                                            (2, [4, 8], 2 * 2 * 2 * 7)))
+def test_shared_prefixes_equal_direct_counts(kind, xs, rows):
+    small = [r for r in sweep(kind, 4, xs=xs) if len(r["converter_subset"]) < 2]
+    assert len(small) == rows
+    for row in small:
+        assert row["prefix"] == [
+            str(v) for v in count_prefix(Support.parse(row["support"]), 4)]
+
+
+# sha256 of the JSON lines `families --out` writes for these sweeps, taken
+# before the sweep moved to masks and shared prefixes across symmetry orbits.
+@pytest.mark.parametrize("kind, xs, digest", (
+    (1, None, "41cbaf458abdfa67e77882e9fe492e1f8804ac433ecb381a6ef4a53d416afa01"),
+    (2, [4, 8], "11ed83fe99eb106349304f9b5a70c6972ea4d191f7a005dd6c54acee1560a6ff"),
+))
+def test_sweep_rows_are_byte_identical_to_the_pinned_jsonl(kind, xs, digest):
+    sha = hashlib.sha256()
+    for row in sweep(kind, 4, xs=xs):
+        sha.update((json.dumps(row) + "\n").encode())
+    assert sha.hexdigest() == digest
 
 
 def test_sweep_checks_its_arguments_before_the_first_row():
     with pytest.raises(ValueError, match="nmax"):
         sweep(1, 0)
+    with pytest.raises(ValueError, match="nmax must be in 1..24"):
+        sweep(1, families.NMAX_BOUND + 1)
     with pytest.raises(ValueError, match="x out of range"):
         sweep(2, 2, xs=[4, 25])
     with pytest.raises(ValueError, match="kind"):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stdpuzzle.pieces import (EMPTY_SUPPORT, FULL_SUPPORT, PIECES, Puzzle,
-                              Support, is_supported, minimal_support, piece,
-                              piece_table, pieces_of, reduce_window)
+                              StandardPiece, Support, is_supported,
+                              minimal_support, piece, piece_table, pieces_of,
+                              reduce_window)
 
 
 def test_piece_table_canonical_order():
@@ -117,3 +118,27 @@ def test_support_mask_and_union():
     assert s.mask == 1
     assert (s | Support.parse("D6")).mask == 1 | 1 << 23
     assert piece("A1") in s and piece("A2") not in s
+
+
+def test_support_is_a_value_over_its_mask():
+    s = Support.parse("D6,A1,B3")
+    assert s.mask == 1 | 1 << 8 | 1 << 23
+    assert Support.from_mask(s.mask) == s == Support(s.members) == Support.of(s)
+    assert hash(Support.from_mask(s.mask)) == hash(s)
+    assert [p.code for p in s] == ["A1", "B3", "D6"] and len(s) == 3
+    assert repr(s) == "Support.parse('A1,B3,D6')"
+    with pytest.raises(AttributeError):
+        s.mask = 0
+    with pytest.raises(ValueError):
+        Support.from_mask(1 << 24)
+    with pytest.raises(TypeError):
+        Support(["A1"])
+
+
+def test_value_classes_compare_and_hash_by_fields():
+    a, b = Puzzle.parse("3 4 / 1 2"), Puzzle((3, 4), [1, 2])
+    assert a == b and len({a, b}) == 1 and a != Puzzle.parse("1 2 / 3 4")
+    with pytest.raises(AttributeError):
+        a.top = (1, 2)
+    assert piece("A1") == StandardPiece("A", 1, "A", ((4, 3), (1, 2)))
+    assert sorted(reversed(PIECES)) == list(PIECES) and piece("A6") < piece("B1")

@@ -3,11 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stdpuzzle.counting import count_bruteforce
+from stdpuzzle.counting import count_bruteforce, count_prefix
 from stdpuzzle.pieces import (PIECES, Puzzle, Support, minimal_support,
                               pieces_of)
-from stdpuzzle.transforms import (check_invariance, f1, f2, f3, f12, f123,
-                                  f_piece, t1, t2, t3)
+from stdpuzzle.transforms import (F1, F2, F3, SYMMETRIES, check_invariance, f1,
+                                  f2, f3, f12, f123, f_piece, map_mask, t1, t2,
+                                  t3)
 
 
 def puzzles(max_n=4):
@@ -42,6 +43,35 @@ def test_maps_are_bijective_involutions():
         assert images == set(PIECES)
         for p in PIECES:
             assert f_piece(map_id, f_piece(map_id, p)) == p
+
+
+def test_mask_maps_agree_with_support_maps_on_every_piece():
+    # Each piece is the one window of a 1-puzzle; the grid transform of that
+    # puzzle reduces to the piece's image under the companion map.
+    for p in PIECES:
+        puzzle = Puzzle((p.tl, p.tr), (p.bl, p.br))
+        for t, perm, fmap, map_id in ((t1, F1, f1, 1), (t2, F2, f2, 2), (t3, F3, f3, 3)):
+            image = pieces_of(t(puzzle))[0]
+            assert map_mask(perm, 1 << p.ordinal) == 1 << image.ordinal
+            assert fmap(Support.of(p)) == Support.of(image)
+            assert f_piece(map_id, p) == image
+
+
+def test_symmetries_are_the_group_of_order_8_that_f1_f2_f3_generate():
+    assert len(SYMMETRIES) == 8 == len(set(SYMMETRIES))
+    assert tuple(range(24)) in SYMMETRIES
+    assert {F1, F2, F3} <= set(SYMMETRIES)
+    for g in SYMMETRIES:
+        assert sorted(g) == list(range(24))
+        for h in SYMMETRIES:
+            assert tuple(g[j] for j in h) in SYMMETRIES
+    # Every image of a support counts alike (the sweep shares prefixes on it).
+    support = Support.parse("A1,A2,B3,C5,D6")
+    prefix = count_prefix(support, 5)
+    images = {map_mask(g, support.mask) for g in SYMMETRIES}
+    assert len(images) == 8
+    for mask in images:
+        assert count_prefix(Support.from_mask(mask), 5) == prefix
 
 
 @given(puzzles())
