@@ -51,6 +51,17 @@ _MAPS = ("f1", "f2", "f3", "f12", "f123")  # bijections in `transforms`
 SEQ_UPTO_BOUND = 2000
 
 
+def _ints(option: str, form: str, text: str, tokens, count=None) -> list[int]:
+    """The integer tokens of an option's value `text`, or an error naming the option."""
+    try:
+        values = [int(tok) for tok in tokens]
+        if count in (None, len(values)):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"{option} expects {form}, got {text!r}")
+
+
 def _write_csv(rows, out=None) -> None:
     """Stream dict rows as CSV (default stdout), headed by the first row's keys."""
     writer = None
@@ -79,9 +90,8 @@ def cmd_pieces(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    values = [int(tok) for tok in args.window.replace(",", " ").split()]
-    if len(values) != 4:
-        raise ValueError("expected four labels: TL,TR,BL,BR")
+    values = _ints("--window", "four integer labels TL,TR,BL,BR", args.window,
+                   args.window.replace(",", " ").split(), count=4)
     p = reduce_window(*values)
     payload = {"window": values, "piece": p.code, "letter": p.letter}
     _emit(args, payload, csv_rows=[payload | {"window": args.window}])
@@ -126,13 +136,10 @@ def cmd_count(args) -> int:
                          "it cannot be combined with --engine brute")
     if args.corner:
         where, _, rank = args.corner.partition("=")
-        x = int(rank)
-        if where == "bottom":
-            value = count_corner_bottom(support, args.n, x)
-        elif where == "top":
-            value = count_corner_top(support, args.n, x)
-        else:
-            raise ValueError("--corner expects bottom=X or top=X")
+        corners = {"bottom": count_corner_bottom, "top": count_corner_top}
+        [x] = _ints("--corner", "bottom=X or top=X with an integer X", args.corner,
+                    [rank] if where in corners else [], count=1)
+        value = corners[where](support, args.n, x)
     elif args.engine == "brute":
         value = count_bruteforce(support, args.n)
     else:
@@ -241,11 +248,8 @@ def cmd_identify(args) -> int:
 
 def cmd_families(args) -> int:
     from .families import sweep
-    try:
-        xs = [int(tok) for tok in args.x.split(",")] if args.x is not None else None
-    except ValueError:
-        raise ValueError(f"--x expects comma-separated integers 1..20, "
-                         f"got {args.x!r}") from None
+    xs = None if args.x is None else _ints(
+        "--x", "comma-separated integers 1..20", args.x, args.x.split(","))
     # sweep checks its arguments at the call, so a rejected sweep exits
     # before --out is opened and truncated.
     rows = sweep(args.kind, args.nmax, include_open=args.include_open, xs=xs)

@@ -10,14 +10,15 @@ Two sweep kinds, mirroring how the 51072 enumerable families arise:
 A group is the descriptors that differ only in their converter subset S:
 one (x, z, converter kind, mirrored).  A puzzle of a converter family
 changes orientation at one converter window at most (the one-junction
-rule behind `theorems.compose`), so converter effects add up:
+rule behind `theorems.compose`), so converter effects add up: for the
+lowest converter y in S,
 
-  prefix(S) = prefix({}) + sum over y in S of (prefix({y}) - prefix({})).
+  prefix(S) = prefix(S - {y}) + prefix({y}) - prefix({}).
 
 The sweep therefore runs `count_prefix` only on the base ({}) and the six
 single-converter supports of each group, which the descriptor order
-yields first, and builds every row with two or more converters by that
-sum, in exact integers.
+yields first, and builds each larger subset's row from earlier rows by
+that one vector addition, in exact integers.
 
 It also counts each such support at most once up to symmetry.  The maps
 f1, f2 and f3 send the puzzles of a support onto those of its image, and
@@ -35,10 +36,10 @@ sample of added rows directly, and flip invariance, which the
 f3 images in separate DP runs.
 
 Family 10 (the smooth-lattice-path family) has no refinement formula; it
-is excluded by default and included, flagged, on request.  Distinct
-descriptors can assemble the same support (e.g. the empty converter
-subset); rows carry a duplicate marker and duplicate supports reuse the
-prefix already found instead of recounting.
+is excluded by default and included, flagged, on request.  A sweep's
+indices are distinct, so the one support two descriptors share is a
+group's converter-free support, listed under B and under C; the C row
+is marked duplicate_support.
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ def _indices(kind: int, include_open: bool, xs) -> list[int]:
     indices = list(xs) if xs is not None else list(range(1, 21))
     for x in indices:
         _check_index("x", x)
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"x indices must be distinct, got {indices}")
     if not include_open:
         indices = [x for x in indices if x not in _FORMULA_FREE]
     return indices
@@ -145,9 +148,9 @@ def iter_family_specs(kind: int, include_open: bool = False,
     group the converter subsets come by size, so the base and the single
     converters precede every larger subset.
 
-    xs restricts the simple-piece indices (for partial sweeps); family 10
-    only appears with include_open.  The kind and every index are checked
-    here, before the first descriptor is asked for.
+    xs restricts the simple-piece indices (for partial sweeps), given once
+    each; family 10 only appears with include_open.  The kind and every
+    index are checked here, before the first descriptor is asked for.
     """
     indices = _indices(kind, include_open, xs)
     if kind == 1:
@@ -166,9 +169,7 @@ def sweep(kind: int, nmax: int, include_open: bool = False,
 
     The arguments are checked at the call; the rows come lazily.  Each
     group's base and single-converter supports are counted, once per
-    symmetry orbit, its larger subsets are added up from them, and a
-    descriptor assembling a support seen before is marked
-    duplicate_support and reuses its prefix.
+    symmetry orbit, and its larger subsets are added up from them.
     """
     if not 1 <= nmax <= NMAX_BOUND:
         raise ValueError(f"nmax must be in 1..{NMAX_BOUND}, got {nmax}")
@@ -177,11 +178,11 @@ def sweep(kind: int, nmax: int, include_open: bool = False,
 
 def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
     subset_texts = [",".join(map(str, sorted(s))) for s in _SUBSETS]
+    subset_bits = [sum(1 << (y - 1) for y in s) for s in _SUBSETS]
     converter_masks = {ck: [_converter_mask(ck, s) for s in _SUBSETS] for ck in "BC"}
     # the symmetry images of the base's converters (none or one), by mask
     small_images = {m: _images(m) for masks in converter_masks.values()
                     for m, s in zip(masks, _SUBSETS) if len(s) < 2}
-    seen: dict[int, list[int]] = {}    # support mask -> prefix
     orbits: dict[int, list[int]] = {}  # least symmetry image -> prefix
     pairs = ([(x, None) for x in indices] if kind == 1
              else [(x, z) for x in indices for z in indices])
@@ -191,29 +192,24 @@ def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
         bases = [_base_mask(x, z, mirrored) for mirrored in mirrorings]
         base_images = [_images(base) for base in bases]
         for converter_kind in ("B", "C"):
-            # (mirrored, subset) -> prefix, for the empty and single subsets
-            counted: dict[tuple, list[int]] = {}
-            for subset, text, converters in zip(_SUBSETS, subset_texts,
-                                                converter_masks[converter_kind]):
-                for mirrored, base, images in zip(mirrorings, bases, base_images):
+            # per mirroring, the group's prefixes indexed by subset bit set
+            groups = [[None] * 64 for _ in mirrorings]
+            for bits, text, converters in zip(subset_bits, subset_texts,
+                                              converter_masks[converter_kind]):
+                low = bits & -bits  # the lowest converter's bit
+                for mirrored, base, images, found in zip(mirrorings, bases,
+                                                         base_images, groups):
                     mask = base | converters
-                    duplicate = mask in seen
-                    if duplicate:
-                        prefix = seen[mask]
-                    elif len(subset) < 2:
+                    if bits == low:  # no converter or one
                         least = min(map(or_, images, small_images[converters]))
                         prefix = orbits.get(least)
                         if prefix is None:
                             prefix = orbits[least] = count_prefix(
                                 Support.from_mask(mask), nmax)
                     else:
-                        base_prefix = counted[mirrored, frozenset()]
-                        singles = [counted[mirrored, frozenset({y})] for y in subset]
-                        prefix = [b + sum(s) - len(s) * b
-                                  for b, *s in zip(base_prefix, *singles)]
-                    seen.setdefault(mask, prefix)
-                    if len(subset) < 2:
-                        counted[mirrored, subset] = prefix
+                        prefix = [r + s - b for r, s, b in
+                                  zip(found[bits ^ low], found[low], found[0])]
+                    found[bits] = prefix
                     matches = registry_matches(prefix)
                     yield {
                         "kind": kind,
@@ -224,7 +220,7 @@ def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
                         "mirrored": mirrored,
                         "support": str(Support.from_mask(mask)),
                         "formula_free": formula_free,
-                        "duplicate_support": duplicate,
+                        "duplicate_support": converter_kind == "C" and not bits,
                         "prefix": [str(v) for v in prefix],
                         "match": matches[0]["name"] if matches else "",
                         "match_detail": matches[0] if matches else None,

@@ -18,10 +18,9 @@ whose linear extensions are exactly the supported puzzles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .pieces import PIECES, Support
+from .pieces import PIECES, Frozen, Support
 
 BASIC_VERTICES = ("a", "b", "c", "d")
 
@@ -29,22 +28,21 @@ BASIC_VERTICES = ("a", "b", "c", "d")
 EXTENSION_BOUND = 16
 
 
-@dataclass(frozen=True)
-class SkeletonGraph:
+class SkeletonGraph(Frozen):
     """A finite digraph with labeled vertices; edges are (tail, head) pairs."""
 
-    vertices: tuple
-    edges: frozenset
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
-        vs = set(self.vertices)
-        for u, v in self.edges:
+    def __init__(self, vertices, edges):
+        vertices = tuple(vertices)
+        edges = frozenset(tuple(e) for e in edges)
+        vs = set(vertices)
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
             if u not in vs or v not in vs:
                 raise ValueError(f"edge ({u!r}, {v!r}) leaves the vertex set")
+        self._set(vertices=vertices, edges=edges)
 
     def closure(self) -> frozenset:
         """Transitive closure as a set of ordered pairs (via nonempty paths)."""

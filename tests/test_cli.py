@@ -299,6 +299,22 @@ def test_malformed_x_names_the_option(capsys, xs):
     assert err == f"error: --x expects comma-separated integers 1..20, got {xs!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", (
+    (["count", "--support", "A1,A2,A3", "--n", "3", "--corner", "bottom=abc"],
+     "error: --corner expects bottom=X or top=X with an integer X, got 'bottom=abc'\n"),
+    (["count", "--support", "A1,A2,A3", "--n", "3", "--corner", "side=2"],
+     "error: --corner expects bottom=X or top=X with an integer X, got 'side=2'\n"),
+    (["reduce", "--window", "1,2,3,x"],
+     "error: --window expects four integer labels TL,TR,BL,BR, got '1,2,3,x'\n"),
+    (["reduce", "--window", "1,2,3"],
+     "error: --window expects four integer labels TL,TR,BL,BR, got '1,2,3'\n"),
+    (["families", "--kind", "1", "--x", "4,4"],
+     "error: x indices must be distinct, got [4, 4]\n"),
+), ids=("corner-rank", "corner-side", "window-label", "window-size", "repeated-x"))
+def test_malformed_option_values_name_the_option(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)
+
+
 @pytest.mark.parametrize("exc, message", (
     (RuntimeError("cross-check failed"), "error: RuntimeError: cross-check failed\n"),
     (RecursionError("maximum recursion depth exceeded"),
@@ -351,7 +367,9 @@ seen = {}
 for argv in (["count", "--support", "A2,A3", "--n", "5"],
              ["identify", "--support", "A2,A3", "--nmax", "5"],
              ["families", "--kind", "1", "--nmax", "2", "--x", "16"],
-             ["compose", "--x", "4", "--y", "2", "--z", "9", "--n", "3"]):
+             ["compose", "--x", "4", "--y", "2", "--z", "9", "--n", "3"],
+             ["verify", "--nmax", "1"],
+             ["skeleton", "--support", "A1,A2,A3", "--n", "2"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     seen[argv[0]] = [code, "dataclasses" in sys.modules]
@@ -365,7 +383,8 @@ def test_cold_commands_do_not_import_dataclasses():
     done = subprocess.run([sys.executable, "-c", _DATACLASSES_PROBE], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == {
-        name: [0, False] for name in ("count", "identify", "families", "compose")}
+        name: [0, False] for name in ("count", "identify", "families", "compose",
+                                      "verify", "skeleton")}
 
 
 @pytest.mark.parametrize("argv, message", (
@@ -375,7 +394,9 @@ def test_cold_commands_do_not_import_dataclasses():
      "error: --upto 2001 exceeds the ceiling 2000\n"),
     (["seq", "--name", "secant", "--upto", "501"],
      "error: secant index 501 out of range 0..500\n"),
-), ids=("families", "seq", "secant"))
+    (["theorem", "--id", "a12345b", "--n", "100000"],
+     "error: E(199998,1) out of range 0 <= k <= n <= 1000\n"),
+), ids=("families", "seq", "secant", "entringer"))
 def test_inputs_past_a_ceiling_exit_2_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
 

@@ -136,6 +136,30 @@ def test_sweep_rows_are_byte_identical_to_the_pinned_jsonl(kind, xs, digest):
     assert sha.hexdigest() == digest
 
 
+# The same, for sweeps that include family 10 and list the indices out of
+# order; taken before the sweep stopped keeping a store of seen supports.
+@pytest.mark.parametrize("kind, nmax, xs, digest", (
+    (1, 5, None, "0223d4f835f061a0145b3f5f0d91955ad1f7a8bd5461ff54a589ac30372a2fdc"),
+    (2, 4, [10, 4, 9], "48a4856d9ba129b04fbdf79306527c6b1c76348df0e815ffc3d59e87e3e8f005"),
+))
+def test_open_sweep_rows_are_byte_identical_to_the_pinned_jsonl(kind, nmax, xs, digest):
+    sha = hashlib.sha256()
+    for row in sweep(kind, nmax, include_open=True, xs=xs):
+        sha.update((json.dumps(row) + "\n").encode())
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind, xs, duplicates", ((1, None, 19 * 2), (2, [4, 8], 2 * 2)))
+def test_duplicates_are_exactly_the_converter_free_c_rows(kind, xs, duplicates):
+    rows = list(sweep(kind, 4, xs=xs))
+    flagged = [r for r in rows if r["duplicate_support"]]
+    assert len(flagged) == duplicates
+    assert all(r["converter_kind"] == "C" and r["converter_subset"] == ""
+               for r in flagged)
+    # ... and every other row has a support of its own
+    assert len({r["support"] for r in rows}) == len(rows) - duplicates
+
+
 def test_sweep_checks_its_arguments_before_the_first_row():
     with pytest.raises(ValueError, match="nmax"):
         sweep(1, 0)
@@ -145,6 +169,9 @@ def test_sweep_checks_its_arguments_before_the_first_row():
         sweep(2, 2, xs=[4, 25])
     with pytest.raises(ValueError, match="kind"):
         sweep(3, 2)
+    # a repeated index would list every one of its rows twice
+    with pytest.raises(ValueError, match="distinct"):
+        sweep(1, 2, xs=[4, 4])
 
 
 def _f1_maps():

@@ -181,6 +181,22 @@ def test_triangle_rows_build_without_recursion():
     assert int(out) == boustrophedon_secant(150)
 
 
+@pytest.mark.parametrize("triangle, ceiling", (
+    (entringer, sequences.ENTRINGER_BOUND),
+    (triangle_T, sequences.TRIANGLE_T_BOUND),
+    (catalan_triangle_t, sequences.BALLOT_BOUND),
+), ids=("entringer", "T", "ballot"))
+def test_cached_triangles_stop_at_their_ceiling(triangle, ceiling):
+    # The row past the ceiling is refused before any row is built.
+    def built():
+        return {step: len(rows) for step, rows in sequences._ROWS.items()}
+
+    before = built()
+    with pytest.raises(ValueError, match=f"out of range .*n <= {ceiling}$"):
+        triangle(ceiling + 1, 1)
+    assert built() == before
+
+
 def test_registry_matches_catalan():
     prefix = [2, 5, 14, 42, 132, 429]
     hits = registry_matches(prefix)
