@@ -9,7 +9,7 @@ package's headline results and reports pass/fail per claim.
 from itertools import islice
 
 from stdpuzzle import Support
-from stdpuzzle.families import iter_family_specs, sweep
+from stdpuzzle.families import sweep
 from stdpuzzle.identify import identify
 from stdpuzzle.verify import run_verification
 
@@ -21,8 +21,8 @@ for codes in ("A2,A3", "A1,A2,A4,A5", "A1,A3"):
     print("   matches:", names or "none (an open family)")
 
 print()
-kind1 = sum(1 for _ in iter_family_specs(1))
-kind2 = sum(1 for _ in iter_family_specs(2))
+kind1 = sum(1 for _ in sweep(1, 1))
+kind2 = sum(1 for _ in sweep(2, 1))
 print(f"Sweepable family descriptors: kind 1: {kind1}, kind 2: {kind2}")
 print(f"(19*2^6*2*2 + 19*19*2^6*2 = {kind1 + kind2} enumerable families)")
 

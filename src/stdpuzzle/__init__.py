@@ -33,7 +33,7 @@ _EXPORTS = (
                      "generating_skeleton", "puzzle_skeleton", "simple_piece",
                      "validate_basic"), "skeleton")
     | dict.fromkeys(("check_invariance", "f1", "f2", "f3", "f12", "f123",
-                     "mirror", "t1", "t2", "t3"), "transforms")
+                     "t1", "t2", "t3"), "transforms")
 )
 
 __all__ = sorted(_EXPORTS)

@@ -49,7 +49,7 @@ from operator import or_
 from typing import Iterator, Optional
 
 from .counting import count_prefix
-from .pieces import Frozen, Support
+from .pieces import Support
 from .sequences import registry_matches
 from .theorems import SIMPLE_PIECES, simple_piece_support
 from .transforms import SYMMETRIES, f2, f12, map_mask
@@ -63,11 +63,6 @@ NMAX_BOUND = 24
 
 #: The 64 converter subsets by size, then lexicographically.
 _SUBSETS = tuple(frozenset(c) for r in range(7) for c in combinations(range(1, 7), r))
-
-
-def _check_index(name: str, value) -> None:
-    if value not in range(1, 21):
-        raise ValueError(f"{name} out of range 1..20")
 
 
 def _converter_mask(converter_kind: str, subset) -> int:
@@ -89,52 +84,13 @@ def _images(mask: int) -> list[int]:
     return [map_mask(perm, mask) for perm in SYMMETRIES]
 
 
-class FamilySpec(Frozen):
-    """One descriptor in a sweep."""
-
-    __slots__ = ("kind",              # 1 or 2
-                 "x",                 # simple piece index 1..20
-                 "converter_kind",    # "B" or "C"
-                 "converter_subset",
-                 "z",                 # kind 2 only
-                 "mirrored")          # kind 1 only: use the decreasing twin
-
-    def __init__(self, kind: int, x: int, converter_kind: str, converter_subset,
-                 z: Optional[int] = None, mirrored: bool = False):
-        if kind not in (1, 2):
-            raise ValueError("kind must be 1 or 2")
-        _check_index("x", x)
-        if converter_kind not in ("B", "C"):
-            raise ValueError("converter kind must be 'B' or 'C'")
-        converter_subset = frozenset(converter_subset)
-        if not converter_subset <= frozenset(range(1, 7)):
-            raise ValueError("converter subset must lie in 1..6")
-        if (kind == 2) != (z is not None):
-            raise ValueError("z is required exactly for kind 2")
-        if kind == 2:
-            _check_index("z", z)
-        if kind == 2 and mirrored:
-            raise ValueError("mirrored applies to kind 1 only")
-        self._set(kind=kind, x=x, converter_kind=converter_kind,
-                  converter_subset=converter_subset, z=z, mirrored=mirrored)
-
-    @property
-    def formula_free(self) -> bool:
-        return self.x in _FORMULA_FREE or self.z in _FORMULA_FREE
-
-    def support(self) -> Support:
-        return Support.from_mask(_base_mask(self.x, self.z, self.mirrored)
-                                 | _converter_mask(self.converter_kind,
-                                                   self.converter_subset))
-
-
 def _indices(kind: int, include_open: bool, xs) -> list[int]:
     """The simple-piece indices of a sweep, checked along with the kind."""
     if kind not in (1, 2):
         raise ValueError("kind must be 1 or 2")
     indices = list(xs) if xs is not None else list(range(1, 21))
-    for x in indices:
-        _check_index("x", x)
+    if any(x not in range(1, 21) for x in indices):
+        raise ValueError("x out of range 1..20")
     if len(set(indices)) < len(indices):
         raise ValueError(f"x indices must be distinct, got {indices}")
     if not include_open:
@@ -142,30 +98,15 @@ def _indices(kind: int, include_open: bool, xs) -> list[int]:
     return indices
 
 
-def iter_family_specs(kind: int, include_open: bool = False,
-                      xs=None) -> Iterator[FamilySpec]:
-    """All descriptors of one kind, in a deterministic order: within each
-    group the converter subsets come by size, so the base and the single
-    converters precede every larger subset.
-
-    xs restricts the simple-piece indices (for partial sweeps), given once
-    each; family 10 only appears with include_open.  The kind and every
-    index are checked here, before the first descriptor is asked for.
-    """
-    indices = _indices(kind, include_open, xs)
-    if kind == 1:
-        return (FamilySpec(1, x, converter_kind, subset, mirrored=mirrored)
-                for x in indices for converter_kind in ("B", "C")
-                for subset in _SUBSETS for mirrored in (False, True))
-    return (FamilySpec(2, x, converter_kind, subset, z=z)
-            for x in indices for z in indices for converter_kind in ("B", "C")
-            for subset in _SUBSETS)
-
-
 def sweep(kind: int, nmax: int, include_open: bool = False,
           xs=None) -> Iterator[dict]:
-    """Rows, one per descriptor of `iter_family_specs` and in its order:
-    support, count prefix, registry match.
+    """Rows, one per descriptor: support, count prefix, registry match.
+
+    The rows come in this order: x (then z, for kind 2) over the given
+    indices in their order; converter kind B, then C; the 64 converter
+    subsets by size, then lexicographically; and for kind 1 the plain
+    row, then the mirrored one.  xs restricts the simple-piece indices,
+    given once each; family 10 only appears with include_open.
 
     The arguments are checked at the call; the rows come lazily.  Each
     group's base and single-converter supports are counted, once per

@@ -79,10 +79,10 @@ def _entringer_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 #: Largest row n of each cached triangle (`_row` keeps rows 0..n).  In a fresh
 #: process on a 2-CPU machine: Entringer row 1000 0.5-0.9 s and 355 MB, ballot
-#: row 1000 0.1 s and 91 MB, T row 300 0.6 s and 25 MB (T is cubic: 500 takes 6 s).
+#: row 1000 0.1 s and 91 MB, T row 1000 1.1 s and 415 MB (row 300 0.02 s).
 ENTRINGER_BOUND = 1000
 BALLOT_BOUND = 1000
-TRIANGLE_T_BOUND = 300
+TRIANGLE_T_BOUND = 1000
 
 
 def entringer(n: int, k: int) -> int:
@@ -105,7 +105,8 @@ def secant(k: int) -> int:
 
 def _triangle_t_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
     # T(n,k) for k = 0..n+1 via T(n,k) = k * sum_{i=k-1}^{n} T(n-1,i).
-    return (0,) + tuple(k * sum(prev[k - 1:]) for k in range(1, n + 2))
+    suffix = list(accumulate(reversed(prev)))[::-1]  # suffix[i] = sum(prev[i:])
+    return (0,) + tuple(k * suffix[k - 1] for k in range(1, n + 2))
 
 
 def triangle_T(n: int, k: int) -> int:

@@ -243,7 +243,9 @@ def fibonacci_family(n: int) -> int:
     return fibonacci(n + 3)
 
 
-_CONVERTER_FAMILIES = ("A2,A3", "A2", "A1,A2,A3,A4,A5")
+#: The families the composite f1 o f2 o f3 fixes: `converter_image` is
+#: defined on these alone.
+CONVERTER_FAMILIES = ("A2,A3", "A2", "A1,A2,A3,A4,A5")
 
 
 def converter_image(family: Support, i: int) -> tuple[Support, int]:
@@ -254,7 +256,7 @@ def converter_image(family: Support, i: int) -> tuple[Support, int]:
     counts agree.
     """
     _check_i(i)
-    if str(family) not in _CONVERTER_FAMILIES:
+    if str(family) not in CONVERTER_FAMILIES:
         raise ValueError(f"{family} is not fixed by the composite map")
     image = f123(family | Support.of(f"C{i}"))
     extra = image.members - family.members
@@ -412,6 +414,12 @@ def compose_support(query: CompositionQuery) -> Support:
     return f2(sx) | Support.of(f"C{query.y}") | f1(sz)
 
 
+def _refinements(x: int, m: int) -> list[tuple[int, int, int]]:
+    """The nonzero (i, j, px_refinement(x, i, j, m)) of family x."""
+    return [(i, j, v) for i in range(1, 2 * m) for j in range(1, 2 * m - i + 1)
+            if (v := px_refinement(x, i, j, m))]
+
+
 def compose(query: CompositionQuery) -> int:
     """Count puzzles over the glued support by the triple-sum rule.
 
@@ -425,16 +433,10 @@ def compose(query: CompositionQuery) -> int:
     total = 0
     for m in range(1, n + 1):
         p = n + 1 - m
-        for i in range(1, 2 * m):
-            for j in range(1, 2 * m - i + 1):
-                px = px_refinement(query.x, i, j, m)
-                if not px:
-                    continue
-                for k in range(1, 2 * p + 1):
-                    for l in range(1, 2 * p - k + 1):
-                        pz = px_refinement(query.z, k, l, p)
-                        if pz:
-                            total += px * ty(query.y, i, j, k, l, m, p) * pz
+        right = _refinements(query.z, p)
+        for i, j, px in _refinements(query.x, m):
+            for k, l, pz in right:
+                total += px * ty(query.y, i, j, k, l, m, p) * pz
     return total + simple_piece_count(query.x, n) + simple_piece_count(query.z, n)
 
 

@@ -18,7 +18,7 @@ with two independent brute-force counts.
 
 from __future__ import annotations
 
-from .pieces import PIECES, Puzzle, StandardPiece, Support
+from .pieces import Puzzle, Support
 
 
 def t1(puzzle: Puzzle) -> Puzzle:
@@ -43,7 +43,6 @@ def t3(puzzle: Puzzle) -> Puzzle:
 F1 = tuple((0, 2, 1, 3)[i // 6] * 6 + (i + 3) % 6 for i in range(24))
 F2 = tuple((3 - i // 6) * 6 + i % 6 for i in range(24))
 F3 = tuple((3 - i // 6) * 6 + (0, 4, 5, 3, 1, 2)[i % 6] for i in range(24))
-_PERMS = {1: F1, 2: F2, 3: F3}
 
 
 def map_mask(perm: tuple[int, ...], mask: int) -> int:
@@ -76,11 +75,6 @@ def _generate(*perms: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 SYMMETRIES = _generate(F1, F2, F3)
 
 
-def f_piece(map_id: int, p: StandardPiece) -> StandardPiece:
-    """Image of a single piece under f1, f2 or f3."""
-    return PIECES[_PERMS[map_id][p.ordinal]]
-
-
 def f1(support: Support) -> Support:
     return Support.from_mask(map_mask(F1, support.mask))
 
@@ -103,26 +97,13 @@ def f123(support: Support) -> Support:
     return f1(f2(f3(support)))
 
 
-mirror = f12  # the "opposite orientation" image used when gluing families
-
-
-def _resolve_map(map_id) -> int:
-    if isinstance(map_id, str):
-        name = map_id.strip().lower()
-        if name in ("f1", "f2", "f3"):
-            return int(name[1])
-        raise ValueError(f"unknown map {map_id!r}")
-    if map_id in (1, 2, 3):
-        return map_id
-    raise ValueError(f"unknown map {map_id!r}")
-
-
 #: Largest n that check_invariance enumerates.
 INVARIANCE_BOUND = 4
 
 
-def check_invariance(support: Support, n: int, map_id) -> bool:
-    """Brute-force check that a support and its f-image count identically.
+def check_invariance(support: Support, n: int, fmap) -> bool:
+    """Brute-force check that a support and its image under fmap (f1, f2,
+    f3 or a composite of them) count identically.
 
     Both sides are enumerated independently; n is capped by INVARIANCE_BOUND
     to keep the enumeration at desk scale.
@@ -131,5 +112,4 @@ def check_invariance(support: Support, n: int, map_id) -> bool:
 
     if n > INVARIANCE_BOUND:
         raise ValueError(f"n={n} exceeds the brute-force bound {INVARIANCE_BOUND}")
-    image = Support.from_mask(map_mask(_PERMS[_resolve_map(map_id)], support.mask))
-    return count_bruteforce(support, n) == count_bruteforce(image, n)
+    return count_bruteforce(support, n) == count_bruteforce(fmap(support), n)

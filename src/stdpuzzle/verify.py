@@ -193,7 +193,7 @@ def _simple_pieces(hi: int) -> tuple[list, list]:
 
 def _converter_images(hi: int) -> tuple[list, list]:
     computed, expected = [], []
-    for codes in theorems._CONVERTER_FAMILIES:
+    for codes in theorems.CONVERTER_FAMILIES:
         family = Support.parse(codes)
         for i in range(1, 7):
             _, j = theorems.converter_image(family, i)

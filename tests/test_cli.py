@@ -357,7 +357,7 @@ def test_commands_import_only_the_modules_they_run():
     assert probe["after_count"] == ["stdpuzzle", "stdpuzzle.cli",
                                     "stdpuzzle.counting", "stdpuzzle.pieces"]
     # Every public name resolves, and `import *` binds exactly those.
-    assert len(probe["all"]) == 51 and probe["star"] == sorted(probe["all"])
+    assert len(probe["all"]) == 50 and probe["star"] == sorted(probe["all"])
 
 
 _DATACLASSES_PROBE = """
@@ -394,9 +394,13 @@ def test_cold_commands_do_not_import_dataclasses():
      "error: --upto 2001 exceeds the ceiling 2000\n"),
     (["seq", "--name", "secant", "--upto", "501"],
      "error: secant index 501 out of range 0..500\n"),
-    (["theorem", "--id", "a12345b", "--n", "100000"],
-     "error: E(199998,1) out of range 0 <= k <= n <= 1000\n"),
-), ids=("families", "seq", "secant", "entringer"))
+    (["theorem", "--id", "a12345b", "--n", "2000"],
+     "error: E(3998,1) out of range 0 <= k <= n <= 1000\n"),
+    *((["theorem", "--id", theorem_id, "--n", "2001"],
+       "error: --n 2001 exceeds the ceiling 2000\n")
+      for theorem_id in (*cli._THEOREM_FUNCS, "thm44")),
+), ids=("families", "seq", "secant", "entringer",
+        *(f"theorem-{t}" for t in (*cli._THEOREM_FUNCS, "thm44"))))
 def test_inputs_past_a_ceiling_exit_2_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
 
@@ -404,6 +408,8 @@ def test_inputs_past_a_ceiling_exit_2_with_one_line(capsys, argv, message):
 def test_inputs_at_a_ceiling_run(capsys):
     payload = run_json(capsys, "seq", "--name", "naturals", "--upto", "2000")
     assert payload["values"][-1] == "2000"
+    payload = run_json(capsys, "theorem", "--id", "fibonacci", "--n", "2000")
+    assert len(payload["value"]) == 419  # F(2003)
     code, out, _ = run(capsys, "families", "--kind", "1", "--nmax", "24",
                        "--x", "16")
     assert code == 0

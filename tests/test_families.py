@@ -1,50 +1,79 @@
 import hashlib
 import json
+from itertools import combinations, product
 
 import pytest
 
 from stdpuzzle import families
 from stdpuzzle.counting import count_prefix
-from stdpuzzle.families import FamilySpec, iter_family_specs, sweep
+from stdpuzzle.families import sweep
 from stdpuzzle.pieces import Support
 from stdpuzzle.theorems import (SIMPLE_PIECES, CompositionQuery, a123_plus_b,
-                                compose)
+                                compose, simple_piece_support)
 from stdpuzzle.transforms import f1, f2
+
+DESCRIPTOR_KEYS = ("x", "converter_kind", "converter_subset", "z", "mirrored",
+                   "support")
+
+
+def a_indices(x):
+    """The indices of simple piece x's pieces, all of category A."""
+    codes = str(simple_piece_support(x)).split(",")
+    assert all(code[0] == "A" for code in codes)
+    return [int(code[1:]) for code in codes]
+
+
+def reference_rows(kind, xs):
+    """The descriptor and support text of each sweep row, in the sweep's
+    order, spelt from piece codes: every simple piece is a set of A pieces;
+    f2, applied to mirrored rows, sends A_i to D_i, and f12, applied to z,
+    sends A_i to D_(i+3 mod 6)."""
+    subsets = [s for r in range(7) for s in combinations(range(1, 7), r)]
+    if kind == 1:
+        descriptors = [(x, ck, s, "", mirrored) for x, ck, s, mirrored
+                       in product(xs, "BC", subsets, (False, True))]
+    else:
+        descriptors = [(x, ck, s, z, False)
+                       for x, z, ck, s in product(xs, xs, "BC", subsets)]
+    rows = []
+    for x, ck, s, z, mirrored in descriptors:
+        codes = [f"{'D' if mirrored else 'A'}{i}" for i in a_indices(x)]
+        codes += [f"{ck}{y}" for y in s]
+        if z:
+            codes += [f"D{(i + 2) % 6 + 1}" for i in a_indices(z)]
+        rows.append((x, ck, ",".join(map(str, s)), z, mirrored,
+                     ",".join(sorted(codes))))
+    return rows
+
+
+def as_reference(rows):
+    """The rows in the form reference_rows gives."""
+    return [tuple(r[k] for k in DESCRIPTOR_KEYS) for r in rows]
 
 
 def test_descriptor_counts_match_family_arithmetic():
-    assert sum(1 for _ in iter_family_specs(1)) == 19 * 2 ** 6 * 2 * 2
-    assert sum(1 for _ in iter_family_specs(2)) == 19 * 19 * 2 ** 6 * 2
+    # ... and the rows come in the reference order, with its supports.
+    closed = [x for x in range(1, 21) if x != 10]
+    for kind, count in ((1, 19 * 2 ** 6 * 2 * 2), (2, 19 * 19 * 2 ** 6 * 2)):
+        rows = as_reference(sweep(kind, 1))
+        assert len(rows) == count
+        assert rows == reference_rows(kind, closed)
 
 
 def test_include_open_adds_family_ten():
-    specs = list(iter_family_specs(1, include_open=True))
-    assert len(specs) == 20 * 2 ** 6 * 2 * 2
-    open_rows = [s for s in specs if s.formula_free]
-    assert open_rows and all(s.x == 10 for s in open_rows)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        FamilySpec(3, 4, "B", frozenset())
-    with pytest.raises(ValueError):
-        FamilySpec(1, 4, "E", frozenset())
-    with pytest.raises(ValueError):
-        FamilySpec(1, 4, "B", frozenset({7}))
-    with pytest.raises(ValueError):
-        FamilySpec(1, 4, "B", frozenset(), z=5)
-    with pytest.raises(ValueError):
-        FamilySpec(2, 4, "B", frozenset(), z=5, mirrored=True)
+    rows = list(sweep(1, 1, include_open=True))
+    assert len(rows) == 20 * 2 ** 6 * 2 * 2
+    assert {r["x"] for r in rows if r["formula_free"]} == {10}
+    assert all(r["formula_free"] for r in rows if r["x"] == 10)
 
 
 def test_support_assembly():
-    plain = FamilySpec(1, 4, "B", frozenset({1}))
-    assert str(plain.support()) == "A1,A2,A3,B1"
-    mirrored = FamilySpec(1, 4, "C", frozenset({2}), mirrored=True)
-    assert str(mirrored.support()) == "C2,D1,D2,D3"
-    assert mirrored.support() == f2(Support.parse("A1,A2,A3")) | Support.parse("C2")
-    glued = FamilySpec(2, 4, "B", frozenset({1}), z=16)
-    assert str(glued.support()) == "A1,A2,A3,B1,D4"
+    rows = {tuple(r[k] for k in DESCRIPTOR_KEYS[:5]): r["support"]
+            for kind, xs in ((1, [4]), (2, [4, 16])) for r in sweep(kind, 1, xs=xs)}
+    assert rows[4, "B", "1", "", False] == "A1,A2,A3,B1"
+    assert rows[4, "C", "2", "", True] == "C2,D1,D2,D3"
+    assert Support.parse("C2,D1,D2,D3") == f2(Support.parse("A1,A2,A3")) | Support.parse("C2")
+    assert rows[4, "B", "1", 16, False] == "A1,A2,A3,B1,D4"
 
 
 def test_single_family_prefix_matches_closed_form():
@@ -80,15 +109,12 @@ def test_sweep_kind2_slice():
 @pytest.mark.parametrize("kind", (1, 2))
 def test_every_row_equals_a_direct_count(kind):
     xs = [4, 8, 10, 17]
-    specs = list(iter_family_specs(kind, include_open=True, xs=xs))
     rows = list(sweep(kind, 6, include_open=True, xs=xs))
-    assert len(rows) == len(specs)
-    for spec, row in zip(specs, rows):
-        assert [row[k] for k in ("kind", "x", "converter_kind", "z", "mirrored")] == [
-            spec.kind, spec.x, spec.converter_kind, spec.z or "", spec.mirrored]
-        assert row["converter_subset"] == ",".join(map(str, sorted(spec.converter_subset)))
-        assert row["support"] == str(spec.support())
-        assert row["prefix"] == [str(v) for v in count_prefix(spec.support(), 6)]
+    assert as_reference(rows) == reference_rows(kind, xs)
+    for row in rows:
+        assert row["kind"] == kind
+        assert row["prefix"] == [str(v) for v in
+                                 count_prefix(Support.parse(row["support"]), 6)]
 
 
 def test_sweep_counts_only_base_and_single_converter_supports(monkeypatch):

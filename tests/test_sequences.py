@@ -1,3 +1,4 @@
+import math
 from itertools import permutations
 
 import pytest
@@ -82,6 +83,10 @@ def test_triangle_T_values():
     assert triangle_T(5, 0) == 0
     with pytest.raises(ValueError):
         triangle_T(3, 5)
+    # Rows cost the square of n to build, so row 400 is cheap.
+    n, k = 400, 3
+    assert triangle_T(n, k) == k * math.factorial(2 * n - k + 1) // (
+        math.factorial(n - k + 1) * 2 ** (n - k + 1))
 
 
 def test_triangle_T_closed_form_equals_recurrence():

@@ -7,8 +7,7 @@ from stdpuzzle.counting import count_bruteforce, count_prefix
 from stdpuzzle.pieces import (PIECES, Puzzle, Support, minimal_support,
                               pieces_of)
 from stdpuzzle.transforms import (F1, F2, F3, SYMMETRIES, check_invariance, f1,
-                                  f2, f3, f12, f123, f_piece, map_mask, t1, t2,
-                                  t3)
+                                  f2, f3, f12, f123, map_mask, t1, t2, t3)
 
 
 def puzzles(max_n=4):
@@ -38,11 +37,10 @@ def test_piece_map_tables():
 
 
 def test_maps_are_bijective_involutions():
-    for map_id in (1, 2, 3):
-        images = {f_piece(map_id, p) for p in PIECES}
-        assert images == set(PIECES)
+    for perm in (F1, F2, F3):
+        assert sorted(perm) == list(range(24))
         for p in PIECES:
-            assert f_piece(map_id, f_piece(map_id, p)) == p
+            assert PIECES[perm[perm[p.ordinal]]] == p
 
 
 def test_mask_maps_agree_with_support_maps_on_every_piece():
@@ -50,11 +48,10 @@ def test_mask_maps_agree_with_support_maps_on_every_piece():
     # puzzle reduces to the piece's image under the companion map.
     for p in PIECES:
         puzzle = Puzzle((p.tl, p.tr), (p.bl, p.br))
-        for t, perm, fmap, map_id in ((t1, F1, f1, 1), (t2, F2, f2, 2), (t3, F3, f3, 3)):
+        for t, perm, fmap in ((t1, F1, f1), (t2, F2, f2), (t3, F3, f3)):
             image = pieces_of(t(puzzle))[0]
             assert map_mask(perm, 1 << p.ordinal) == 1 << image.ordinal
             assert fmap(Support.of(p)) == Support.of(image)
-            assert f_piece(map_id, p) == image
 
 
 def test_symmetries_are_the_group_of_order_8_that_f1_f2_f3_generate():
@@ -80,7 +77,7 @@ def test_row_swap_windows_match_f2(p):
     flipped = t2(p)
     for k, q in enumerate(pieces_of(p)):
         window = pieces_of(flipped)[k]
-        assert window == f_piece(2, q)
+        assert window == PIECES[F2[q.ordinal]]
 
 
 @given(puzzles())
@@ -92,26 +89,25 @@ def test_support_level_consistency(p):
 
 
 def test_check_invariance_examples():
-    assert check_invariance(Support.parse("A1,A2"), 2, 2)
+    assert check_invariance(Support.parse("A1,A2"), 2, f2)
     assert count_bruteforce(Support.parse("A1,A2"), 2) == 8
-    assert check_invariance(Support.parse("A2,A3"), 3, "f1")
+    assert check_invariance(Support.parse("A2,A3"), 3, f1)
     assert count_bruteforce(Support.parse("A2,A3"), 3) == 14
-    assert check_invariance(Support.parse(""), 2, 3)
+    assert check_invariance(Support.parse(""), 2, f3)
+    assert check_invariance(Support.parse("A1,B2,C3"), 3, f123)
 
 
 def test_check_invariance_bound():
     with pytest.raises(ValueError):
-        check_invariance(Support.parse("A1"), 5, 1)
-    with pytest.raises(ValueError):
-        check_invariance(Support.parse("A1"), 1, "f4")
+        check_invariance(Support.parse("A1"), 5, f1)
 
 
 def test_invariance_on_random_supports():
     rng = random.Random(7)
     for _ in range(12):
         support = Support(frozenset(rng.sample(PIECES, rng.randrange(0, 25))))
-        for map_id in (1, 2, 3):
-            assert check_invariance(support, 3, map_id)
+        for fmap in (f1, f2, f3):
+            assert check_invariance(support, 3, fmap)
 
 
 def test_invariance_via_dp_beyond_brute_bound():
