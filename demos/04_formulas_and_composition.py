@@ -31,7 +31,7 @@ print()
 print("2-converter families reduce to 1-converter families:")
 family = Support.parse("A2,A3")
 for i in (1, 4, 5):
-    _, j = converter_image(family, i)
+    j = converter_image(family, i)
     print(f"  {{A2,A3}} + C{i}  counts like  {{A2,A3}} + B{j}")
 
 print()

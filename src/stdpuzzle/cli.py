@@ -45,15 +45,39 @@ _THEOREM_ALIASES = {
 
 _MAPS = ("f1", "f2", "f3", "f12", "f123")  # bijections in `transforms`
 
+# Ceilings of the size options, each checked by `_check_ceiling`; the
+# costs are from a 2-CPU machine.
+
+# Largest `count --n` and `identify --nmax`.  On the full support, where
+# the DP layers are largest, a cold `count` takes about 5 s and 62 MB at
+# 100 (2.8 s at 80) and a cold `identify` 6 s; smaller supports take less.
+COUNT_N_BOUND = 100
+
+# Largest `compose --n`.  The triple sum grows fastest on (1, y, 1): a cold
+# `compose --verify` of (1, 5, 1) takes about 3 s at 12, and in-process
+# (1, 2, 1) takes 9.4 s at 14 and (4, 2, 9) 27 s at 20.
+COMPOSE_N_BOUND = 12
+
+# Largest `skeleton --n`.  At 10000 a cold command takes about 0.3 s and
+# 31 MB, with up to 1.1 MB of DOT; at 100000 it takes up to 2.8 s and
+# 156 MB, with 12 MB of DOT.
+SKELETON_N_BOUND = 10000
+
 # Largest `seq --upto`.  At 2000 the largest term, (4000)!/2^2000, has
-# 12072 digits, and the whole prefix takes about 2 s and 11 MB of output
-# on a 2-CPU machine; str() of an int is quadratic in its length.
+# 12072 digits, and the whole prefix takes about 2 s and 11 MB of output;
+# str() of an int is quadratic in its length.
 SEQ_UPTO_BOUND = 2000
 
 # Largest `theorem --n`.  At 2000 every id answers cold in about 0.15 s
-# with at most 12 KB of output on a 2-CPU machine; at 100000 several ids
-# run for longer than 5 s.
+# with at most 12 KB of output; at 100000 several ids run for longer
+# than 5 s.
 THEOREM_N_BOUND = 2000
+
+
+def _check_ceiling(option: str, value: int, ceiling: int) -> None:
+    """Reject a size option past its ceiling."""
+    if value > ceiling:
+        raise ValueError(f"{option} {value} exceeds the ceiling {ceiling}")
 
 
 def _ints(option: str, form: str, text: str, tokens, count=None) -> list[int]:
@@ -115,6 +139,7 @@ def cmd_transform(args) -> int:
 def cmd_skeleton(args) -> int:
     from .skeleton import export_dot, puzzle_skeleton
     support = Support.parse(args.support)
+    _check_ceiling("--n", args.n, SKELETON_N_BOUND)
     graph = puzzle_skeleton(support, args.n)
     dot = export_dot(graph)
     payload = {"support": str(support), "n": args.n,
@@ -136,6 +161,7 @@ def cmd_count(args) -> int:
     from .counting import (count_bruteforce, count_corner_bottom,
                            count_corner_top, count_dp)
     support = Support.parse(args.support)
+    _check_ceiling("--n", args.n, COUNT_N_BOUND)
     if args.corner and args.engine == "brute":
         raise ValueError("--corner reads the DP's corner table; "
                          "it cannot be combined with --engine brute")
@@ -177,8 +203,7 @@ def cmd_seq(args) -> int:
     if args.name not in generators:
         raise ValueError(f"unknown sequence {args.name!r}; "
                          f"choose from {', '.join(sorted(generators))}")
-    if args.upto > SEQ_UPTO_BOUND:
-        raise ValueError(f"--upto {args.upto} exceeds the ceiling {SEQ_UPTO_BOUND}")
+    _check_ceiling("--upto", args.upto, SEQ_UPTO_BOUND)
     fn = generators[args.name]
     # Last term first, so a term past its generator's reach fails at once.
     values = [str(fn(k)) for k in range(args.upto, args.start - 1, -1)][::-1]
@@ -196,8 +221,7 @@ def cmd_theorem(args) -> int:
         name = q_variant if (args.base or "P").upper() == "Q" else p_variant
     if name not in _THEOREM_FUNCS:
         raise ValueError(f"unknown theorem id {args.id!r}")
-    if args.n > THEOREM_N_BOUND:
-        raise ValueError(f"--n {args.n} exceeds the ceiling {THEOREM_N_BOUND}")
+    _check_ceiling("--n", args.n, THEOREM_N_BOUND)
     from . import theorems
     fn = getattr(theorems, _THEOREM_FUNCS[name])
     value = fn(args.n) if name == "fibonacci" else fn(args.i, args.n)
@@ -210,6 +234,7 @@ def cmd_theorem(args) -> int:
 def cmd_compose(args) -> int:
     from . import theorems
     from .counting import count_dp
+    _check_ceiling("--n", args.n, COMPOSE_N_BOUND)
     query = theorems.CompositionQuery(args.x, args.y, args.z, args.n,
                                       args.converter)
     value = theorems.compose(query)
@@ -245,6 +270,7 @@ def cmd_verify(args) -> int:
 def cmd_identify(args) -> int:
     from .identify import identify
     support = Support.parse(args.support)
+    _check_ceiling("--nmax", args.nmax, COUNT_N_BOUND)
     payload = identify(support, args.nmax, use_oeis=args.oeis,
                        cache_dir=args.cache_dir)
     _emit(args, payload, csv_rows=payload["matches"] or

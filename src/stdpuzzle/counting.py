@@ -41,9 +41,9 @@ from __future__ import annotations
 
 from itertools import accumulate, count, islice
 from operator import add
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
-from .pieces import Frozen, Puzzle, Support, reduce_window
+from .pieces import Puzzle, Support, reduce_window
 
 #: Ceiling for the brute force, set by the listing walk and the cost of `_moves`.
 BRUTE_FORCE_BOUND = 5
@@ -140,17 +140,15 @@ def _layers(mask: int) -> Iterator[Mapping[tuple[int, int], int]]:
         layer = out
 
 
-class CornerTable(Frozen):
+class CornerTable(NamedTuple):
     """Counts of m-column puzzles refined by the last column's rank pair.
 
     entries[(u, v)] counts puzzles whose bottom-right label has rank u and
     top-right label rank v among all 2m labels.
     """
 
-    __slots__ = ("columns", "entries")
-
-    def __init__(self, columns: int, entries: Mapping[tuple[int, int], int]):
-        self._set(columns=columns, entries=entries)
+    columns: int
+    entries: Mapping[tuple[int, int], int]
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -192,14 +190,21 @@ def count_dp(support: Support, n: int) -> int:
     return count_prefix(support, n)[-1]
 
 
+def _puzzle_table(support: Support, n: int) -> CornerTable:
+    """The corner table of the supported n-puzzles (n + 1 columns)."""
+    if n < 1:
+        raise ValueError("puzzles need n >= 1 pieces")
+    return corner_table(support, n + 1)
+
+
 def count_corner_bottom(support: Support, n: int, x: int) -> int:
     """Puzzles with label x in the bottom-right corner."""
-    return corner_table(support, n + 1).bottom_sum(x)
+    return _puzzle_table(support, n).bottom_sum(x)
 
 
 def count_corner_top(support: Support, n: int, x: int) -> int:
     """Puzzles with label x in the top-right corner."""
-    return corner_table(support, n + 1).top_sum(x)
+    return _puzzle_table(support, n).top_sum(x)
 
 
 def _relabel(u2: int, v2: int, size: int) -> list[int]:

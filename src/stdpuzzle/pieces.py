@@ -16,66 +16,17 @@ distinct window reductions is the puzzle's minimal support.
 
 from __future__ import annotations
 
-from functools import total_ordering
-from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
-class Frozen:
-    """Base of the package's immutable value classes.
-
-    A subclass names its fields in `__slots__` and sets them once, in its
-    `__init__`, through `_set`.  Instances are equal, and hash alike, when
-    they are of the same class and their fields are equal.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        # The field values (a tuple, or the value of a single field), read in C.
-        cls._values = property(attrgetter(*cls.__slots__))
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-@total_ordering
-class StandardPiece(Frozen):
+class StandardPiece(NamedTuple):
     """One of the 24 order patterns a 2x2 window can realize; pieces order
     by (category, index, letter, grid)."""
 
-    __slots__ = ("category",  # A, B, C or D
-                 "index",     # 1..6
-                 "letter",    # Han's single-letter code
-                 "grid")      # ((TL, TR), (BL, BR))
-
-    def __init__(self, category: str, index: int, letter: str,
-                 grid: tuple[tuple[int, int], tuple[int, int]]):
-        self._set(category=category, index=index, letter=letter, grid=grid)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values < other._values
+    category: str                                  # A, B, C or D
+    index: int                                     # 1..6
+    letter: str                                    # Han's single-letter code
+    grid: tuple[tuple[int, int], tuple[int, int]]  # ((TL, TR), (BL, BR))
 
     @property
     def code(self) -> str:
@@ -185,12 +136,17 @@ def reduce_window(tl: int, tr: int, bl: int, br: int) -> StandardPiece:
     return PIECES[_PATTERN_ORDINAL[_pattern_key(tl, tr, bl, br)]]
 
 
-class Puzzle(Frozen):
+class _PuzzleFields(NamedTuple):
+    top: tuple[int, ...]
+    bottom: tuple[int, ...]
+
+
+class Puzzle(_PuzzleFields):
     """A 2x(n+1) grid holding each of 1..2n+2 exactly once (n >= 1 pieces)."""
 
-    __slots__ = ("top", "bottom")
+    __slots__ = ()
 
-    def __init__(self, top: Iterable[int], bottom: Iterable[int]):
+    def __new__(cls, top: Iterable[int], bottom: Iterable[int]):
         top, bottom = tuple(top), tuple(bottom)
         cols = len(top)
         if cols != len(bottom):
@@ -200,7 +156,7 @@ class Puzzle(Frozen):
         labels = sorted(top + bottom)
         if labels != list(range(1, 2 * cols + 1)):
             raise ValueError(f"labels must be exactly 1..{2 * cols}, each once")
-        self._set(top=top, bottom=bottom)
+        return super().__new__(cls, top, bottom)
 
     @property
     def n(self) -> int:
@@ -224,9 +180,10 @@ class Puzzle(Frozen):
         return " ".join(map(str, self.top)) + " / " + " ".join(map(str, self.bottom))
 
 
-class Support(Frozen):
+class Support:
     """A set of standard pieces, held as a 24-bit mask (bit i is the piece
-    of ordinal i) and iterated in canonical A1..D6 order."""
+    of ordinal i) and iterated in canonical A1..D6 order.  Supports are
+    equal, and hash alike, when their masks are."""
 
     __slots__ = ("mask",)
 
@@ -236,7 +193,7 @@ class Support(Frozen):
             if not isinstance(p, StandardPiece):
                 raise TypeError(f"not a StandardPiece: {p!r}")
             mask |= 1 << p.ordinal
-        self._set(mask=mask)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_mask(cls, mask: int) -> "Support":
@@ -246,6 +203,20 @@ class Support(Frozen):
         support = object.__new__(cls)
         object.__setattr__(support, "mask", mask)
         return support
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def of(cls, *pieces: StandardPiece | str | Iterable) -> "Support":

@@ -24,9 +24,7 @@ import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional
-
-from .pieces import Frozen
+from typing import Callable, NamedTuple, Optional
 
 
 def double_factorial(k: int) -> int:
@@ -227,13 +225,12 @@ def multinomial_all_pairs(m: int) -> int:
     return math.factorial(2 * m) >> m
 
 
-class SequenceId(Frozen):
+class SequenceId(NamedTuple):
     """A named reference sequence; its generator raises ValueError past its reach."""
 
-    __slots__ = ("name", "oeis", "generator")
-
-    def __init__(self, name: str, oeis: Optional[str], generator: Callable[[int], int]):
-        self._set(name=name, oeis=oeis, generator=generator)
+    name: str
+    oeis: Optional[str]
+    generator: Callable[[int], int]
 
 
 REGISTRY: tuple[SequenceId, ...] = (

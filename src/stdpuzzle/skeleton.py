@@ -19,8 +19,9 @@ whose linear extensions are exactly the supported puzzles.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
-from .pieces import PIECES, Frozen, Support
+from .pieces import PIECES, Support
 
 BASIC_VERTICES = ("a", "b", "c", "d")
 
@@ -28,12 +29,17 @@ BASIC_VERTICES = ("a", "b", "c", "d")
 EXTENSION_BOUND = 16
 
 
-class SkeletonGraph(Frozen):
+class _SkeletonFields(NamedTuple):
+    vertices: tuple
+    edges: frozenset
+
+
+class SkeletonGraph(_SkeletonFields):
     """A finite digraph with labeled vertices; edges are (tail, head) pairs."""
 
-    __slots__ = ("vertices", "edges")
+    __slots__ = ()
 
-    def __init__(self, vertices, edges):
+    def __new__(cls, vertices, edges):
         vertices = tuple(vertices)
         edges = frozenset(tuple(e) for e in edges)
         vs = set(vertices)
@@ -42,7 +48,7 @@ class SkeletonGraph(Frozen):
                 raise ValueError(f"self-loop at {u!r}")
             if u not in vs or v not in vs:
                 raise ValueError(f"edge ({u!r}, {v!r}) leaves the vertex set")
-        self._set(vertices=vertices, edges=edges)
+        return super().__new__(cls, vertices, edges)
 
     def closure(self) -> frozenset:
         """Transitive closure as a set of ordered pairs (via nonempty paths)."""

@@ -27,10 +27,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .counting import count_prefix
-from .pieces import Frozen, Support, piece
+from .pieces import Support, piece
 from .sequences import (catalan, double_factorial, entringer, fibonacci,
                         lattice_L, multinomial_all_pairs, secant)
 from .transforms import f1, f2, f12, f123
@@ -49,17 +49,14 @@ def _as_int(value) -> int:
     return int(value)
 
 
-class SimplePieceRow(Frozen):
+class SimplePieceRow(NamedTuple):
     """One row of the 20-family table of 1-simple pieces."""
 
-    __slots__ = ("x", "support",
-                 "sequence",  # human-readable formula label
-                 "count", "refinement_known")
-
-    def __init__(self, x: int, support: Support, sequence: str,
-                 count: Callable[[int], int], refinement_known: bool = True):
-        self._set(x=x, support=support, sequence=sequence, count=count,
-                  refinement_known=refinement_known)
+    x: int
+    support: Support
+    sequence: str  # human-readable formula label
+    count: Callable[[int], int]
+    refinement_known: bool = True
 
 
 def _row(x, codes, sequence, count, refinement_known=True):
@@ -248,12 +245,12 @@ def fibonacci_family(n: int) -> int:
 CONVERTER_FAMILIES = ("A2,A3", "A2", "A1,A2,A3,A4,A5")
 
 
-def converter_image(family: Support, i: int) -> tuple[Support, int]:
+def converter_image(family: Support, i: int) -> int:
     """Send family + C_i through f1 o f2 o f3 and read off the B index.
 
-    Only defined for families the composite map fixes; returns (family, j)
-    with image = family + B_j, so the C_i-augmented and B_j-augmented
-    counts agree.
+    Only defined for families the composite map fixes; returns the j with
+    image = family + B_j, so the C_i-augmented and B_j-augmented counts
+    agree.
     """
     _check_i(i)
     if str(family) not in CONVERTER_FAMILIES:
@@ -265,7 +262,7 @@ def converter_image(family: Support, i: int) -> tuple[Support, int]:
     b = next(iter(extra))
     if b.category != "B":
         raise RuntimeError(f"expected a B piece, got {b}")
-    return family, b.index
+    return b.index
 
 
 def px_refinement(x: int, i: int, j: int, m: int) -> int:
@@ -384,13 +381,21 @@ def ty(y: int, i: int, j: int, k: int, l: int, m: int, p: int) -> int:
     raise ValueError(f"converter index {y} out of range 1..6")
 
 
-class CompositionQuery(Frozen):
+class _CompositionFields(NamedTuple):
+    x: int
+    y: int
+    z: int
+    n: int
+    converter_kind: str
+
+
+class CompositionQuery(_CompositionFields):
     """Simple piece x, converter index y of the given kind, mirrored simple
     piece z, puzzle length n."""
 
-    __slots__ = ("x", "y", "z", "n", "converter_kind")
+    __slots__ = ()
 
-    def __init__(self, x: int, y: int, z: int, n: int, converter_kind: str = "B"):
+    def __new__(cls, x: int, y: int, z: int, n: int, converter_kind: str = "B"):
         for v in (x, z):
             if v not in range(1, 21):
                 raise ValueError(f"simple piece index {v} out of range 1..20")
@@ -402,7 +407,7 @@ class CompositionQuery(Frozen):
             raise ValueError("puzzles need n >= 1 pieces")
         if converter_kind not in ("B", "C"):
             raise ValueError("converter kind must be 'B' or 'C'")
-        self._set(x=x, y=y, z=z, n=n, converter_kind=converter_kind)
+        return super().__new__(cls, x, y, z, n, converter_kind)
 
 
 def compose_support(query: CompositionQuery) -> Support:
@@ -428,6 +433,10 @@ def compose(query: CompositionQuery) -> int:
     the junction window is the converter, the right part mirrors a
     z-family puzzle with p = n+1-m columns starting with ranks (k, k+l).
     Unmixed puzzles contribute the two family counts.
+
+    The sum does not depend on the converter kind: the C support is `f2`
+    of the B support, and f2 preserves counts, so only `compose_support`
+    reads `query.converter_kind`.
     """
     n = query.n
     total = 0

@@ -196,7 +196,7 @@ def _converter_images(hi: int) -> tuple[list, list]:
     for codes in theorems.CONVERTER_FAMILIES:
         family = Support.parse(codes)
         for i in range(1, 7):
-            _, j = theorems.converter_image(family, i)
+            j = theorems.converter_image(family, i)
             computed += count_prefix(family | Support.of(f"C{i}"), hi)
             expected += count_prefix(family | Support.of(f"B{j}"), hi)
     return computed, expected

@@ -310,7 +310,12 @@ def test_malformed_x_names_the_option(capsys, xs):
      "error: --window expects four integer labels TL,TR,BL,BR, got '1,2,3'\n"),
     (["families", "--kind", "1", "--x", "4,4"],
      "error: x indices must be distinct, got [4, 4]\n"),
-), ids=("corner-rank", "corner-side", "window-label", "window-size", "repeated-x"))
+    (["count", "--support", "A1,A2,A3", "--n", "0", "--corner", "bottom=1"],
+     "error: puzzles need n >= 1 pieces\n"),
+    (["count", "--support", "A1,A2,A3", "--n", "-2", "--corner", "top=1"],
+     "error: puzzles need n >= 1 pieces\n"),
+), ids=("corner-rank", "corner-side", "window-label", "window-size", "repeated-x",
+        "corner-n-zero", "corner-n-negative"))
 def test_malformed_option_values_name_the_option(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
 
@@ -399,8 +404,21 @@ def test_cold_commands_do_not_import_dataclasses():
     *((["theorem", "--id", theorem_id, "--n", "2001"],
        "error: --n 2001 exceeds the ceiling 2000\n")
       for theorem_id in (*cli._THEOREM_FUNCS, "thm44")),
+    (["count", "--support", "A2,A3", "--n", "101"],
+     "error: --n 101 exceeds the ceiling 100\n"),
+    (["count", "--support", "A2,A3", "--n", "100000", "--corner", "top=1"],
+     "error: --n 100000 exceeds the ceiling 100\n"),
+    (["count", "--support", "A2,A3", "--n", "101", "--engine", "brute"],
+     "error: --n 101 exceeds the ceiling 100\n"),
+    (["compose", "--x", "4", "--y", "2", "--z", "9", "--n", "13"],
+     "error: --n 13 exceeds the ceiling 12\n"),
+    (["identify", "--support", "A2,A3", "--nmax", "101"],
+     "error: --nmax 101 exceeds the ceiling 100\n"),
+    (["skeleton", "--support", "A1,A2,A3", "--n", "10001", "--dot", "-"],
+     "error: --n 10001 exceeds the ceiling 10000\n"),
 ), ids=("families", "seq", "secant", "entringer",
-        *(f"theorem-{t}" for t in (*cli._THEOREM_FUNCS, "thm44"))))
+        *(f"theorem-{t}" for t in (*cli._THEOREM_FUNCS, "thm44")),
+        "count", "count-corner", "count-brute", "compose", "identify", "skeleton"))
 def test_inputs_past_a_ceiling_exit_2_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
 
@@ -414,6 +432,17 @@ def test_inputs_at_a_ceiling_run(capsys):
                        "--x", "16")
     assert code == 0
     assert json.loads(out.splitlines()[0])["prefix"] == ["1"] * 24
+    payload = run_json(capsys, "count", "--support", "A3", "--n", "100",
+                       "--corner", "top=202")
+    assert payload["count"] == "1"
+    payload = run_json(capsys, "compose", "--x", "2", "--y", "3", "--z", "3",
+                       "--n", "12", "--verify")
+    assert payload["verified"] is True
+    payload = run_json(capsys, "identify", "--support", "A3", "--nmax", "100")
+    assert payload["prefix"] == ["1"] * 100
+    code, out, _ = run(capsys, "skeleton", "--support", "A3", "--n", "10000",
+                       "--dot", "-")
+    assert code == 0 and out.count(" -> ") == 2 * 10000 + 1
 
 
 def test_empty_csv_table_prints_nothing(capsys):

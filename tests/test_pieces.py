@@ -1,10 +1,16 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from stdpuzzle.counting import CornerTable
 from stdpuzzle.pieces import (EMPTY_SUPPORT, FULL_SUPPORT, PIECES, Puzzle,
                               StandardPiece, Support, is_supported,
                               minimal_support, piece, piece_table, pieces_of,
                               reduce_window)
+from stdpuzzle.sequences import SequenceId
+from stdpuzzle.skeleton import SkeletonGraph
+from stdpuzzle.theorems import CompositionQuery, SimplePieceRow
 
 
 def test_piece_table_canonical_order():
@@ -142,3 +148,35 @@ def test_value_classes_compare_and_hash_by_fields():
         a.top = (1, 2)
     assert piece("A1") == StandardPiece("A", 1, "A", ((4, 3), (1, 2)))
     assert sorted(reversed(PIECES)) == list(PIECES) and piece("A6") < piece("B1")
+    with pytest.raises(AttributeError):
+        del Support.parse("A1").mask
+    a3 = Support.parse("A3")
+    cases = (
+        (lambda: CornerTable(2, {(2, 3): 1, (2, 4): 1}), "columns",
+         "CornerTable(columns=2, entries={(2, 3): 1, (2, 4): 1})"),
+        (lambda: SimplePieceRow(2, a3, "1", abs), "count",
+         "SimplePieceRow(x=2, support=Support.parse('A3'), sequence='1', "
+         "count=<built-in function abs>, refinement_known=True)"),
+        (lambda: SequenceId("catalan", "A000108", abs), "name",
+         "SequenceId(name='catalan', oeis='A000108', generator=<built-in function abs>)"),
+        (lambda: SkeletonGraph(("a", "b"), [("a", "b")]), "edges",
+         "SkeletonGraph(vertices=('a', 'b'), edges=frozenset({('a', 'b')}))"),
+        (lambda: CompositionQuery(4, 2, 9, 3), "n",
+         "CompositionQuery(x=4, y=2, z=9, n=3, converter_kind='B')"),
+    )
+    for make, field, text in cases:
+        value, same = make(), make()
+        assert value == same and repr(value) == text
+        if not isinstance(value, CornerTable):  # its entries are a dict
+            assert hash(value) == hash(same)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    for vertices, edges, message in ((("a",), [("a", "a")], "self-loop at 'a'"),
+                                     (("a",), [("a", "z")], "edge ('a', 'z') leaves")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SkeletonGraph(vertices, edges)
+    for args, message in (((4, 7, 9, 3), "converter index 7 out of range"),
+                          ((4, 2, 9, 3, "D"), "converter kind must be 'B' or 'C'"),
+                          ((4, 2, 9, 0), "puzzles need n >= 1 pieces")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CompositionQuery(*args)

@@ -108,7 +108,7 @@ def test_domain_errors():
 
 def test_converter_image_map():
     family = Support.parse("A2,A3")
-    images = {i: converter_image(family, i)[1] for i in range(1, 7)}
+    images = {i: converter_image(family, i) for i in range(1, 7)}
     assert images == {1: 4, 2: 2, 3: 3, 4: 1, 5: 5, 6: 6}
     for i, j in images.items():
         for n in (1, 2, 3):
