@@ -1,9 +1,9 @@
 """Tour of sequence identification, the family sweep, and verification.
 
-identify() names a support's count sequence against the built-in registry
-(OEIS lookups are opt-in and cached).  The family sweep enumerates every
-converter family descriptor.  run_verification() recomputes all of the
-package's headline results and reports pass/fail per claim.
+identify() names a support's count sequence against the built-in registry.
+The family sweep enumerates every converter family descriptor.
+run_verification() recomputes all of the package's headline results and
+reports pass/fail per claim.
 """
 
 from itertools import islice

