@@ -204,11 +204,16 @@ def cmd_seq(args) -> int:
         raise ValueError(f"unknown sequence {args.name!r}; "
                          f"choose from {', '.join(sorted(generators))}")
     _check_ceiling("--upto", args.upto, SEQ_UPTO_BOUND)
+    if args.start < 0:
+        raise ValueError(f"--start {args.start} is below the floor 0")
     if args.start > args.upto:
         raise ValueError(f"--start {args.start} exceeds --upto {args.upto}")
     fn = generators[args.name]
-    # Last term first, so a term past its generator's reach fails at once.
-    values = [str(fn(k)) for k in range(args.upto, args.start - 1, -1)][::-1]
+    # The last term first, so a term past its generator's reach fails at
+    # once; then the rest in ascending order, in which a triangle's cached
+    # row extends instead of being rebuilt from row 0 for each term.
+    last = str(fn(args.upto))
+    values = [str(fn(k)) for k in range(args.start, args.upto)] + [last]
     payload = {"name": args.name, "start": args.start, "upto": args.upto,
                "values": values}
     _emit(args, payload, csv_rows=[{"k": k, "value": v} for k, v in
@@ -302,8 +307,16 @@ def cmd_families(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one `error:` line, exit 2,
+    as for every other bad input; its subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stdpuzzle",
         description="enumerate, count, and verify standard puzzles")
     parser.add_argument("--format", choices=("json", "csv"), default="json")

@@ -54,7 +54,7 @@ from .sequences import registry_matches
 from .theorems import SIMPLE_PIECES, simple_piece_support
 from .transforms import SYMMETRIES, f2, f12, map_mask
 
-_FORMULA_FREE = frozenset(r.x for r in SIMPLE_PIECES if not r.refinement_known)
+_FORMULA_FREE = frozenset(r.x for r in SIMPLE_PIECES if r.refinement is None)
 
 #: Largest nmax a sweep accepts.  On a 2-CPU machine the full kind-2
 #: sweep takes about 15 s at nmax = 24 (5 s at 16, 34 s at 32), and the

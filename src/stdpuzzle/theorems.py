@@ -1,12 +1,13 @@
 """Closed-form counts for converter-augmented families and gluing identities.
 
-The simple pieces (module skeleton) all have known counting formulas; this
-module tabulates them (SIMPLE_PIECES, simple_piece_count) and adds:
+The simple pieces (module skeleton) all have known counting formulas.
+SIMPLE_PIECES holds one row per family: its support, its count
+(simple_piece_count) and, as one more column, its corner refinement
+(px_refinement): how many puzzles of a given column length end with
+prescribed bottom-right / top-right ranks.  The module adds:
 
 * closed forms for a simple piece united with one converter piece
   (a123_plus_b and friends),
-* the corner refinement table px_refinement: how many puzzles of a given
-  column length end with prescribed bottom-right / top-right ranks,
 * the partition counts q1/q2/q3 and junction weights ty behind the
   composition rule, and compose itself, which counts puzzles whose support
   glues an increasing family, one 1-converter, and a mirrored family,
@@ -19,7 +20,7 @@ integral; a non-integral result raises, it never truncates.
 Two published displays needed repairs, both verified against the
 enumeration engines: the {A2,A3}+B5 closed form (the printed expression
 counts {A2,A3,B4,B5} instead) and the cubic coefficient in the {A1,A2}+C5
-form.  The refinement table needed two analogous repairs (items 9 and 12).
+form.  The refinements of families 9 and 12 needed two analogous repairs.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .counting import count_prefix
 from .pieces import Support, piece
@@ -50,41 +51,81 @@ def _as_int(value) -> int:
 
 
 class SimplePieceRow(NamedTuple):
-    """One row of the 20-family table of 1-simple pieces."""
+    """One row of the 20-family table of 1-simple pieces.
+
+    `refinement` maps m >= 2 to the nonzero corner refinements
+    {(i, j): px(x, i, j, m)} (see px_refinement); it is None for the one
+    family with no closed-form refinement.
+    """
 
     x: int
     support: Support
     sequence: str  # human-readable formula label
     count: Callable[[int], int]
-    refinement_known: bool = True
+    refinement: Optional[Callable[[int], dict[tuple[int, int], int]]] = None
 
 
-def _row(x, codes, sequence, count, refinement_known=True):
-    return SimplePieceRow(x, Support.parse(codes), sequence, count, refinement_known)
+def _row(x, codes, sequence, count, refinement):
+    return SimplePieceRow(x, Support.parse(codes), sequence, count, refinement)
 
 
+def _by_i(m: int, lo: int, hi: int, value: Callable[[int], int]) -> dict:
+    """Every cell (i, j), i + j <= 2m, with lo <= i <= hi, valued by i."""
+    return {(i, j): value(i) for i in range(lo, hi + 1) for j in range(1, 2 * m - i + 1)}
+
+
+def _by_sum(lo: int, hi: int, value: Callable[[int], int]) -> dict:
+    """Every cell (i, j) with lo <= i + j <= hi, valued by i + j."""
+    return {(i, s - i): value(s) for s in range(lo, hi + 1) for i in range(1, s)}
+
+
+_fact, _dfac = math.factorial, double_factorial
+
+# Families 9 and 12 carry repaired refinement boundaries (an index shift
+# and the j >= 2 edge), both pinned by the corner tables of the DP engine.
 SIMPLE_PIECES: tuple[SimplePieceRow, ...] = (
-    _row(1, "A1,A2,A3,A4,A5,A6", "(2n+2)!/2^(n+1)", lambda n: multinomial_all_pairs(n + 1)),
-    _row(2, "A3", "1", lambda n: 1),
-    _row(3, "A6", "1", lambda n: 1),
-    _row(4, "A1,A2,A3", "(2n+1)!!", lambda n: double_factorial(2 * n + 1)),
-    _row(5, "A4,A5,A6", "(2n+1)!!", lambda n: double_factorial(2 * n + 1)),
-    _row(6, "A2,A3,A4", "(2n+1)!!", lambda n: double_factorial(2 * n + 1)),
-    _row(7, "A1,A5,A6", "(2n+1)!!", lambda n: double_factorial(2 * n + 1)),
-    _row(8, "A1,A2,A3,A4,A5", "secant(n+1)", lambda n: secant(n + 1)),
-    _row(9, "A1,A2,A4,A5,A6", "secant(n+1)", lambda n: secant(n + 1)),
-    _row(10, "A1,A2,A4,A5", "smooth lattice paths L(n+1)",
-         lambda n: lattice_L(n + 1), refinement_known=False),
-    _row(11, "A1,A2", "(2n)!!", lambda n: double_factorial(2 * n)),
-    _row(12, "A4,A5", "(2n)!!", lambda n: double_factorial(2 * n)),
-    _row(13, "A1,A5", "(2n)!!", lambda n: double_factorial(2 * n)),
-    _row(14, "A2,A4", "(2n)!!", lambda n: double_factorial(2 * n)),
-    _row(15, "A4", "1", lambda n: 1),
-    _row(16, "A1", "1", lambda n: 1),
-    _row(17, "A2,A3", "catalan(n+1)", lambda n: catalan(n + 1)),
-    _row(18, "A5,A6", "catalan(n+1)", lambda n: catalan(n + 1)),
-    _row(19, "A2", "catalan(n)", lambda n: catalan(n)),
-    _row(20, "A5", "catalan(n)", lambda n: catalan(n)),
+    _row(1, "A1,A2,A3,A4,A5,A6", "(2n+2)!/2^(n+1)", lambda n: multinomial_all_pairs(n + 1),
+         lambda m: _by_sum(2, 2 * m, lambda s: multinomial_all_pairs(m - 1))),
+    _row(2, "A3", "1", lambda n: 1, lambda m: {(2 * m - 1, 1): 1}),
+    _row(3, "A6", "1", lambda n: 1, lambda m: {(1, 1): 1}),
+    _row(4, "A1,A2,A3", "(2n+1)!!", lambda n: double_factorial(2 * n + 1),
+         lambda m: _by_i(m, m, 2 * m - 1, lambda i: _fact(i - 1) // _dfac(2 * i - 2 * m))),
+    _row(5, "A4,A5,A6", "(2n+1)!!", lambda n: double_factorial(2 * n + 1),
+         lambda m: {(1, j): _dfac(2 * m - 3) for j in range(1, 2 * m)}),
+    _row(6, "A2,A3,A4", "(2n+1)!!", lambda n: double_factorial(2 * n + 1),
+         lambda m: {(i, 2 * m - i): _dfac(2 * m - 3) for i in range(1, 2 * m)}),
+    _row(7, "A1,A5,A6", "(2n+1)!!", lambda n: double_factorial(2 * n + 1),
+         lambda m: _by_sum(2, m + 1, lambda s: _fact(2 * m - s) // _dfac(2 * m - 2 * s + 2))),
+    _row(8, "A1,A2,A3,A4,A5", "secant(n+1)", lambda n: secant(n + 1),
+         lambda m: _by_sum(3, 2 * m, lambda s: entringer(2 * m - 2, s - 2))),
+    _row(9, "A1,A2,A4,A5,A6", "secant(n+1)", lambda n: secant(n + 1),
+         lambda m: _by_i(m, 1, 2 * m - 2, lambda i: entringer(2 * m - 2, 2 * m - i - 1))),
+    _row(10, "A1,A2,A4,A5", "smooth lattice paths L(n+1)", lambda n: lattice_L(n + 1), None),
+    _row(11, "A1,A2", "(2n)!!", lambda n: double_factorial(2 * n),
+         lambda m: _by_i(m, m, 2 * m - 2,
+                         lambda i: (2 * m - 1 - i) * _fact(i - 2) // _dfac(2 * i - 2 * m))),
+    _row(12, "A4,A5", "(2n)!!", lambda n: double_factorial(2 * n),
+         lambda m: {(1, j): _dfac(2 * m - 4) for j in range(2, 2 * m)}),
+    _row(13, "A1,A5", "(2n)!!", lambda n: double_factorial(2 * n),
+         lambda m: _by_sum(3, m + 1, lambda s: (s - 2) * _fact(2 * m - 1 - s)
+                           // _dfac(2 * m + 2 - 2 * s))),
+    _row(14, "A2,A4", "(2n)!!", lambda n: double_factorial(2 * n),
+         lambda m: {(i, 2 * m - i): _dfac(2 * m - 4) for i in range(1, 2 * m - 1)}),
+    _row(15, "A4", "1", lambda n: 1, lambda m: {(1, 2 * m - 1): 1}),
+    _row(16, "A1", "1", lambda n: 1, lambda m: {(m, 1): 1}),
+    _row(17, "A2,A3", "catalan(n+1)", lambda n: catalan(n + 1),
+         lambda m: {(i, 2 * m - i): _as_int(Fraction(2 * m - i, m) * _comb0(i - 1, m - 1))
+                    for i in range(m, 2 * m)}),
+    _row(18, "A5,A6", "catalan(n+1)", lambda n: catalan(n + 1),
+         lambda m: {(1, j): _as_int(Fraction(j, m) * _comb0(2 * m - 1 - j, m - 1))
+                    for j in range(1, m + 1)}),
+    _row(19, "A2", "catalan(n)", lambda n: catalan(n),
+         lambda m: {(i, 2 * m - i): _as_int(Fraction(2 * m - i - 1, m - 1)
+                                            * _comb0(i - 2, m - 2))
+                    for i in range(m, 2 * m - 1)}),
+    _row(20, "A5", "catalan(n)", lambda n: catalan(n),
+         lambda m: {(1, j): _as_int(Fraction(j - 1, m - 1) * _comb0(2 * m - j - 2, m - 2))
+                    for j in range(2, m + 1)}),
 )
 
 _ROW_BY_X = {row.x: row for row in SIMPLE_PIECES}
@@ -265,77 +306,20 @@ def converter_image(family: Support, i: int) -> int:
     return b.index
 
 
+def _refinement(x: int, m: int) -> dict[tuple[int, int], int]:
+    """The nonzero px_refinement(x, i, j, m) of family x, keyed by (i, j)."""
+    build = simple_piece_row(x).refinement
+    if build is None:
+        raise ValueError(f"no closed-form refinement is known for family {x}")
+    return {(1, 1): 1} if m == 1 else build(m)
+
+
 def px_refinement(x: int, i: int, j: int, m: int) -> int:
     """Puzzles of the x-th simple piece with m columns, bottom-right rank i
-    and top-right rank i+j; zero outside each family's stated domain.
-
-    Items 9 and 12 carry repaired boundaries (an index shift and the j >= 2
-    edge), both pinned by the corner tables of the DP engine.
-    """
-    row = simple_piece_row(x)
-    if not row.refinement_known:
-        raise ValueError(f"no closed-form refinement is known for family {x}")
+    and top-right rank i+j; zero outside each family's stated domain."""
     if i < 1 or j < 1 or m < 1:
         raise ValueError("px_refinement needs positive i, j, m")
-    if i + j > 2 * m:
-        return 0
-    if m == 1:
-        return 1 if (i, j) == (1, 1) else 0
-    fact = math.factorial
-    dfac = double_factorial
-    if x == 1:
-        return multinomial_all_pairs(m - 1)
-    if x == 2:
-        return 1 if (i == 2 * m - 1 and j == 1) else 0
-    if x == 3:
-        return 1 if (i == 1 and j == 1) else 0
-    if x == 4:
-        return fact(i - 1) // dfac(2 * i - 2 * m) if m <= i <= 2 * m - 1 else 0
-    if x == 5:
-        return dfac(2 * m - 3) if i == 1 else 0
-    if x == 6:
-        return dfac(2 * m - 3) if i + j == 2 * m else 0
-    if x == 7:
-        if 2 <= i + j <= m + 1:
-            return fact(2 * m - i - j) // dfac(2 * m - 2 * i - 2 * j + 2)
-        return 0
-    if x == 8:
-        return entringer(2 * m - 2, i + j - 2)
-    if x == 9:
-        return entringer(2 * m - 2, 2 * m - i - 1)
-    if x == 11:
-        if m <= i <= 2 * m - 2:
-            return (2 * m - 1 - i) * fact(i - 2) // dfac(2 * i - 2 * m)
-        return 0
-    if x == 12:
-        return dfac(2 * m - 4) if (i == 1 and j >= 2) else 0
-    if x == 13:
-        if 3 <= i + j <= m + 1:
-            return (i + j - 2) * fact(2 * m - 1 - j - i) // dfac(2 * m + 2 - 2 * j - 2 * i)
-        return 0
-    if x == 14:
-        return dfac(2 * m - 4) if (i + j == 2 * m and i <= 2 * m - 2) else 0
-    if x == 15:
-        return 1 if (i == 1 and j == 2 * m - 1) else 0
-    if x == 16:
-        return 1 if (i == m and j == 1) else 0
-    if x == 17:
-        if i + j == 2 * m and m <= i <= 2 * m - 1:
-            return _as_int(Fraction(2 * m - i, m) * _comb0(i - 1, m - 1))
-        return 0
-    if x == 18:
-        if i == 1 and 1 <= j <= m:
-            return _as_int(Fraction(i + j - 1, m) * _comb0(2 * m - i - j, m - 1))
-        return 0
-    if x == 19:
-        if i + j == 2 * m and m <= i <= 2 * m - 2:
-            return _as_int(Fraction(2 * m - i - 1, m - 1) * _comb0(i - 2, m - 2))
-        return 0
-    if x == 20:
-        if i == 1 and 2 <= j <= m:
-            return _as_int(Fraction(i + j - 2, m - 1) * _comb0(2 * m - i - j - 1, m - 2))
-        return 0
-    raise AssertionError(x)
+    return _refinement(x, m).get((i, j), 0)
 
 
 def _check_q_domain(i, j, k, l, m, p):
@@ -399,7 +383,7 @@ class CompositionQuery(_CompositionFields):
         for v in (x, z):
             if v not in range(1, 21):
                 raise ValueError(f"simple piece index {v} out of range 1..20")
-            if not simple_piece_row(v).refinement_known:
+            if simple_piece_row(v).refinement is None:
                 raise ValueError(f"family {v} has no refinement; composition unavailable")
         if y not in range(1, 7):
             raise ValueError(f"converter index {y} out of range 1..6")
@@ -419,12 +403,6 @@ def compose_support(query: CompositionQuery) -> Support:
     return f2(sx) | Support.of(f"C{query.y}") | f1(sz)
 
 
-def _refinements(x: int, m: int) -> list[tuple[int, int, int]]:
-    """The nonzero (i, j, px_refinement(x, i, j, m)) of family x."""
-    return [(i, j, v) for i in range(1, 2 * m) for j in range(1, 2 * m - i + 1)
-            if (v := px_refinement(x, i, j, m))]
-
-
 def compose(query: CompositionQuery) -> int:
     """Count puzzles over the glued support by the triple-sum rule.
 
@@ -442,9 +420,9 @@ def compose(query: CompositionQuery) -> int:
     total = 0
     for m in range(1, n + 1):
         p = n + 1 - m
-        right = _refinements(query.z, p)
-        for i, j, px in _refinements(query.x, m):
-            for k, l, pz in right:
+        right = _refinement(query.z, p).items()
+        for (i, j), px in _refinement(query.x, m).items():
+            for (k, l), pz in right:
                 total += px * ty(query.y, i, j, k, l, m, p) * pz
     return total + simple_piece_count(query.x, n) + simple_piece_count(query.z, n)
 
@@ -510,7 +488,7 @@ def sample_composition_queries(count: int, nmax: int = 3, seed: int = 20240809,
                                converter_kind: str = "B") -> list[CompositionQuery]:
     """Deterministic sample of admissible composition queries."""
     rng = random.Random(seed)
-    xs = [row.x for row in SIMPLE_PIECES if row.refinement_known]
+    xs = [row.x for row in SIMPLE_PIECES if row.refinement is not None]
     out = []
     for _ in range(count):
         out.append(CompositionQuery(rng.choice(xs), rng.randrange(1, 7),

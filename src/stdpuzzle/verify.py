@@ -237,7 +237,7 @@ def _q_oracle(which, i, j, k, l, m, p) -> int:
 def _refinement_table(hi: int) -> tuple[list, list]:
     computed, expected = [], []
     for row in theorems.SIMPLE_PIECES:
-        if not row.refinement_known:
+        if row.refinement is None:
             continue
         for m in range(1, hi + 2):
             table = corner_table(row.support, m).entries

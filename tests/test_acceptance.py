@@ -218,7 +218,7 @@ def test_c10_composition_rule():
 def test_c11_refinement_table():
     with criterion(11, "per-family corner refinements match the DP tables (m <= 4)"):
         for row in theorems.SIMPLE_PIECES:
-            if not row.refinement_known:
+            if row.refinement is None:
                 continue
             for m in range(1, 5):
                 table = corner_table(row.support, m).entries

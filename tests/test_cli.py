@@ -279,9 +279,21 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     assert run(capsys, "seq", "--name", "catalan", "--start", "5", "--upto", "2") \
         == (2, "", "error: --start 5 exceeds --upto 2\n")
+    assert run(capsys, "seq", "--name", "naturals", "--start", "-3", "--upto", "2") \
+        == (2, "", "error: --start -3 is below the floor 0\n")
     code, _, _ = run(capsys, "count", "--support", "A1", "--n", "9",
                      "--engine", "brute")
     assert code == 2
+    # Errors found by the argument parser are one line too, with no usage.
+    for argv, message in ((["families", "--kind", "3"],
+                           "error: argument --kind: invalid choice: 3"),
+                          (["count", "--support", "A2,A3", "--n"],
+                           "error: argument --n: expected one argument")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
 
 def test_io_error_exit_3(tmp_path, capsys):

@@ -156,7 +156,7 @@ def test_value_classes_compare_and_hash_by_fields():
          "CornerTable(columns=2, entries={(2, 3): 1, (2, 4): 1})"),
         (lambda: SimplePieceRow(2, a3, "1", abs), "count",
          "SimplePieceRow(x=2, support=Support.parse('A3'), sequence='1', "
-         "count=<built-in function abs>, refinement_known=True)"),
+         "count=<built-in function abs>, refinement=None)"),
         (lambda: SequenceId("catalan", "A000108", abs), "name",
          "SequenceId(name='catalan', oeis='A000108', generator=<built-in function abs>)"),
         (lambda: SkeletonGraph(("a", "b"), [("a", "b")]), "edges",

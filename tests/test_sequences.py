@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +200,30 @@ def test_cached_triangles_stop_at_their_ceiling(triangle, ceiling):
     with pytest.raises(ValueError, match=f"out of range .*n <= {ceiling}$"):
         triangle(ceiling + 1, 1)
     assert built() == before
+
+
+def boustrophedon_row(n):
+    """Row n of the Entringer triangle, E(n, 0..n), by the boustrophedon."""
+    row = [1]
+    for _ in range(n):
+        row = [0, *accumulate(row[::-1])]
+    return row
+
+
+@pytest.mark.parametrize("triangle, closed", (
+    (entringer, lambda n, k: boustrophedon_row(n)[k]),
+    (triangle_T, lambda n, k: k * math.factorial(2 * n - k + 1)
+     // (math.factorial(n - k + 1) * 2 ** (n - k + 1))),
+    (catalan_triangle_t, lambda n, k: (n - k + 1) * math.comb(n + k, n) // (n + 1)),
+), ids=("entringer", "T", "ballot"))
+def test_cached_triangles_rebuild_an_earlier_row(triangle, closed):
+    # Only the last row is kept: an earlier row is rebuilt from row 0, and
+    # the later row after it is built again.
+    later, earlier = 40, 12
+    answers = [[triangle(n, k) for k in range(1, n + 1)] for n in (later, earlier, later)]
+    assert answers[2] == answers[0]
+    for n, row in zip((later, earlier), answers):
+        assert row == [closed(n, k) for k in range(1, n + 1)]
 
 
 def test_registry_matches_catalan():

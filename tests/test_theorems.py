@@ -20,7 +20,7 @@ from stdpuzzle.theorems import (CompositionQuery, SIMPLE_PIECES, a12_plus_b,
 def test_simple_piece_table_rows():
     assert len(SIMPLE_PIECES) == 20
     assert str(simple_piece_support(8)) == "A1,A2,A3,A4,A5"
-    assert not simple_piece_row(10).refinement_known
+    assert simple_piece_row(10).refinement is None
     assert {row.support for row in SIMPLE_PIECES} == set(all_simple_pieces(1))
     with pytest.raises(ValueError):
         simple_piece_row(21)
@@ -135,12 +135,15 @@ def test_px_refinement_values():
 @pytest.mark.parametrize("x", [x for x in range(1, 21) if x != 10])
 def test_px_refinement_matches_corner_tables(x):
     support = simple_piece_support(x)
-    for m in (1, 2, 3, 4):
+    for m in range(1, 7):
         table = corner_table(support, m).entries
         for i in range(1, 2 * m):
             for j in range(1, 2 * m + 1 - i):
                 assert px_refinement(x, i, j, m) == table.get((i, i + j), 0), \
                     (x, i, j, m)
+    # The table stores only nonzero refinements.
+    build = simple_piece_row(x).refinement
+    assert all(0 not in build(m).values() for m in range(2, 7))
 
 
 def test_q_counts_tiny_cases():
