@@ -1,6 +1,7 @@
 """Tour of sequence identification, the family sweep, and verification.
 
-identify() names a support's count sequence against the built-in registry.
+registry_matches() names a support's count prefix against the built-in
+registry, as the identify command does.
 The family sweep enumerates every converter family descriptor.
 run_verification() recomputes all of the package's headline results and
 reports pass/fail per claim.
@@ -8,16 +9,15 @@ reports pass/fail per claim.
 
 from itertools import islice
 
-from stdpuzzle import Support
+from stdpuzzle import Support, count_prefix, registry_matches
 from stdpuzzle.families import sweep
-from stdpuzzle.identify import identify
 from stdpuzzle.verify import run_verification
 
 for codes in ("A2,A3", "A1,A2,A4,A5", "A1,A3"):
-    result = identify(Support.parse(codes), 6)
+    prefix = count_prefix(Support.parse(codes), 6)
     names = [f"{m['name']} (offset {m['offset']}, factor {m['factor']})"
-             for m in result["matches"]]
-    print(f"{{{codes}}}: prefix {result['prefix']}")
+             for m in registry_matches(prefix)]
+    print(f"{{{codes}}}: prefix {[str(v) for v in prefix]}")
     print("   matches:", names or "none (an open family)")
 
 print()

@@ -19,11 +19,6 @@ import sys
 
 from .pieces import Support, piece_table, reduce_window
 
-# `seq` reads the registry under these old CLI names too.  Plain k!! is
-# served here alone: in the registry it would join every sweep's matches.
-_SEQUENCE_ALIASES = {"lattice": "lattice_smooth_paths",
-                     "multinomial_pairs": "ordered_pair_arrangements"}
-
 # Theorem id -> its function's name in `theorems`; every one but
 # fibonacci takes (i, n).
 _THEOREM_FUNCS = {
@@ -33,15 +28,9 @@ _THEOREM_FUNCS = {
     "fibonacci": "fibonacci_family",
 }
 
-# Interface aliases for the same formulas (--base picks the P/Q variant).
-_THEOREM_ALIASES = {
-    "thm42": ("a123b", "a123b"),
-    "thm43": ("a12b", "a12b"),
-    "thm44": ("a123c", "a12c"),
-    "thm46": ("a23b", "a23b"),
-    "thm47": ("a2b", "a2b"),
-    "thm48": ("a12345b", "a12345b"),
-}
+# Theorem numbers as aliases of the descriptive ids.
+_THEOREM_ALIASES = {"thm42": "a123b", "thm43": "a12b", "thm44": "a123c",
+                    "thm46": "a23b", "thm47": "a2b", "thm48": "a12345b"}
 
 _MAPS = ("f1", "f2", "f3", "f12", "f123")  # bijections in `transforms`
 
@@ -197,18 +186,22 @@ def cmd_enumerate(args) -> int:
 def cmd_seq(args) -> int:
     from .sequences import REGISTRY, double_factorial
     generators = {seq.name: seq.generator for seq in REGISTRY}
-    generators["double_factorial"] = double_factorial
-    for alias, name in _SEQUENCE_ALIASES.items():
-        generators[alias] = generators[name]
+    generators["double_factorial"] = double_factorial  # in REGISTRY it would match every sweep
     if args.name not in generators:
         raise ValueError(f"unknown sequence {args.name!r}; "
                          f"choose from {', '.join(sorted(generators))}")
     _check_ceiling("--upto", args.upto, SEQ_UPTO_BOUND)
+    fn = generators[args.name]
+    if args.start is None:  # 0, or 1 for a generator that rejects 0
+        args.start = 0
+        try:
+            fn(0)
+        except ValueError:
+            args.start = 1
     if args.start < 0:
         raise ValueError(f"--start {args.start} is below the floor 0")
     if args.start > args.upto:
         raise ValueError(f"--start {args.start} exceeds --upto {args.upto}")
-    fn = generators[args.name]
     # The last term first, so a term past its generator's reach fails at
     # once; then the rest in ascending order, in which a triangle's cached
     # row extends instead of being rebuilt from row 0 for each term.
@@ -222,10 +215,7 @@ def cmd_seq(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    name = args.id
-    if name in _THEOREM_ALIASES:
-        p_variant, q_variant = _THEOREM_ALIASES[name]
-        name = q_variant if (args.base or "P").upper() == "Q" else p_variant
+    name = _THEOREM_ALIASES.get(args.id, args.id)
     if name not in _THEOREM_FUNCS:
         raise ValueError(f"unknown theorem id {args.id!r}")
     _check_ceiling("--n", args.n, THEOREM_N_BOUND)
@@ -275,10 +265,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    from .identify import identify
+    from .counting import count_prefix
+    from .sequences import registry_matches
     support = Support.parse(args.support)
     _check_ceiling("--nmax", args.nmax, COUNT_N_BOUND)
-    payload = identify(support, args.nmax)
+    if args.nmax < 4:
+        raise ValueError("identification needs nmax >= 4")
+    prefix = count_prefix(support, args.nmax)
+    payload = {"support": str(support), "nmax": args.nmax,
+               "prefix": [str(v) for v in prefix], "matches": registry_matches(prefix)}
     _emit(args, payload, csv_rows=payload["matches"] or
           [{"name": "", "oeis": "", "offset": "", "factor": "",
             "label": "no registry match"}])
@@ -350,14 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="emit a reference sequence prefix")
     p.add_argument("--name", required=True)
     p.add_argument("--upto", type=int, required=True)
-    p.add_argument("--start", type=int, default=0)
+    p.add_argument("--start", type=int, help="default 0, or 1 if the sequence starts there")
 
     p = sub.add_parser("theorem", help="evaluate a closed-form family count")
     p.add_argument("--id", required=True)
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--base", choices=("P", "Q", "p", "q"), default=None,
-                   help="for the two-variant ids: P (three-piece) or Q (two-piece)")
 
     p = sub.add_parser("compose", help="count a glued family by the triple sum")
     p.add_argument("--x", type=int, required=True)
@@ -411,6 +404,13 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()
+    # Before the subcommand, argparse would take an option's value for the command.
+    for token in sys.argv[1:] if argv is None else argv:
+        if token in _HANDLERS:
+            break
+        option = token.partition("=")[0]
+        if option[:1] == "-" and not any(o.startswith(option) for o in ("--format", "--help", "-h")):
+            parser.error(f"{option} goes after the subcommand; only --format goes before it")
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

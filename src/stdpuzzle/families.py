@@ -94,6 +94,9 @@ def _indices(kind: int, include_open: bool, xs) -> list[int]:
     if len(set(indices)) < len(indices):
         raise ValueError(f"x indices must be distinct, got {indices}")
     if not include_open:
+        if xs is not None and _FORMULA_FREE.intersection(indices):
+            raise ValueError("family 10 has no refinement formula; it is swept "
+                             "only with include_open (--include-open)")
         indices = [x for x in indices if x not in _FORMULA_FREE]
     return indices
 

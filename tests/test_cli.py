@@ -15,7 +15,6 @@ from stdpuzzle import cli
 from stdpuzzle.cli import main
 from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import sweep
-from stdpuzzle.identify import identify
 from stdpuzzle.pieces import Support
 from stdpuzzle.sequences import REGISTRY, registry_matches
 
@@ -99,15 +98,21 @@ def test_transform(capsys):
 def test_seq(capsys):
     payload = run_json(capsys, "seq", "--name", "secant", "--upto", "4")
     assert payload["values"] == ["1", "1", "5", "61", "1385"]
-    payload = run_json(capsys, "seq", "--name", "multinomial_pairs", "--upto", "3")
+    payload = run_json(capsys, "seq", "--name", "ordered_pair_arrangements",
+                       "--upto", "3")
     assert payload["values"] == ["1", "1", "6", "90"]
     # (2k-1)!!, A001147, as in the registry that identify reports from
     payload = run_json(capsys, "seq", "--name", "double_factorial_odd", "--upto", "3")
     assert payload["values"] == ["1", "1", "3", "15"]
-    payload = run_json(capsys, "seq", "--name", "lattice", "--start", "1",
+    payload = run_json(capsys, "seq", "--name", "lattice_smooth_paths", "--start", "1",
                        "--upto", "4")
-    assert payload["name"] == "lattice"
+    assert payload["name"] == "lattice_smooth_paths"
     assert payload["values"] == ["1", "4", "44", "896"]
+    # Without --start, a sequence that rejects index 0 starts at 1.
+    for name, values in (("lattice_smooth_paths", ["1", "4", "44"]),
+                         ("whirlpool", ["2", "8", "84"])):
+        payload = run_json(capsys, "seq", "--name", name, "--upto", "3")
+        assert payload["start"] == 1 and payload["values"] == values
     payload = run_json(capsys, "seq", "--name", "double_factorial", "--upto", "5")
     assert payload["values"] == ["1", "1", "2", "3", "8", "15"]
 
@@ -140,9 +145,10 @@ def test_theorem_aliases(capsys):
     direct = run_json(capsys, "theorem", "--id", "a23b", "--i", "4", "--n", "5")
     alias = run_json(capsys, "theorem", "--id", "thm46", "--i", "4", "--n", "5")
     assert direct["value"] == alias["value"] == "462"
-    q_variant = run_json(capsys, "theorem", "--id", "thm44", "--base", "Q",
-                         "--i", "3", "--n", "2")
-    assert q_variant["value"] == "10" and q_variant["resolved"] == "a12c"
+    assert run_json(capsys, "theorem", "--id", "thm44", "--i", "3",
+                    "--n", "2")["resolved"] == "a123c"
+    two_piece = run_json(capsys, "theorem", "--id", "a12c", "--i", "3", "--n", "2")
+    assert two_piece["value"] == "10" and two_piece["resolved"] == "a12c"
 
 
 def test_compose_with_verification(capsys):
@@ -217,7 +223,37 @@ def test_verify_unknown_claim(capsys):
 
 def test_identify(capsys):
     payload = run_json(capsys, "identify", "--support", "A2,A3", "--nmax", "6")
-    assert any(m["name"] == "catalan" for m in payload["matches"])
+    assert list(payload) == ["support", "nmax", "prefix", "matches"]
+    assert payload["support"] == "A2,A3" and payload["nmax"] == 6
+
+
+def test_identify_catalan_family(capsys):
+    payload = run_json(capsys, "identify", "--support", "A2,A3", "--nmax", "6")
+    assert payload["prefix"] == ["2", "5", "14", "42", "132", "429"]
+    assert any(m["name"] == "catalan" and m["offset"] == 1
+               for m in payload["matches"])
+
+
+def test_identify_lattice_family(capsys):
+    payload = run_json(capsys, "identify", "--support", "A1,A2,A4,A5", "--nmax", "5")
+    assert any(m["name"] == "lattice_smooth_paths" and m["offset"] == 1
+               for m in payload["matches"])
+
+
+def test_identify_open_family_has_no_match(capsys):
+    payload = run_json(capsys, "identify", "--support", "A1,A3", "--nmax", "6")
+    assert payload["matches"] == []
+    code, out, _ = run(capsys, "--format", "csv", "identify", "--support", "A1,A3",
+                       "--nmax", "6")
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out))) == [
+        {"name": "", "oeis": "", "offset": "", "factor": "",
+         "label": "no registry match"}]
+
+
+def test_identify_needs_enough_terms(capsys):
+    assert run(capsys, "identify", "--support", "A2,A3", "--nmax", "3") \
+        == (2, "", "error: identification needs nmax >= 4\n")
 
 
 # The retired OEIS options.  The second is spelled in two parts, so that a
@@ -231,10 +267,9 @@ def test_identify_has_no_oeis_options(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_identify_matches_are_registry_matches_as_in_families():
-    support = Support.parse("A2,A3")
-    matches = identify(support, 6)["matches"]
-    assert matches == registry_matches(count_prefix(support, 6))
+def test_identify_matches_are_registry_matches_as_in_families(capsys):
+    matches = run_json(capsys, "identify", "--support", "A2,A3", "--nmax", "6")["matches"]
+    assert matches == registry_matches(count_prefix(Support.parse("A2,A3"), 6))
     [row] = [r for r in sweep(1, 6, xs=[17]) if r["converter_kind"] == "B"
              and r["converter_subset"] == "" and not r["mirrored"]]
     assert matches[0] == row["match_detail"]
@@ -275,12 +310,17 @@ def test_families_jsonl(capsys):
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "count", "--support", "Z9", "--n", "2")
     assert code == 2 and "error" in err
-    code, _, _ = run(capsys, "seq", "--name", "nonsense", "--upto", "3")
-    assert code == 2
+    # an unknown name, and the retired names of two registry sequences
+    for name in ("nonsense", "lattice", "multinomial_pairs"):
+        code, _, err = run(capsys, "seq", "--name", name, "--upto", "3")
+        assert code == 2 and f"unknown sequence {name!r}" in err
     assert run(capsys, "seq", "--name", "catalan", "--start", "5", "--upto", "2") \
         == (2, "", "error: --start 5 exceeds --upto 2\n")
     assert run(capsys, "seq", "--name", "naturals", "--start", "-3", "--upto", "2") \
         == (2, "", "error: --start -3 is below the floor 0\n")
+    # an explicit start outside the domain is the generator's error
+    assert run(capsys, "seq", "--name", "whirlpool", "--start", "0", "--upto", "3") \
+        == (2, "", "error: whirlpool_W needs n >= 1\n")
     code, _, _ = run(capsys, "count", "--support", "A1", "--n", "9",
                      "--engine", "brute")
     assert code == 2
@@ -288,7 +328,12 @@ def test_usage_errors_exit_2(capsys):
     for argv, message in ((["families", "--kind", "3"],
                            "error: argument --kind: invalid choice: 3"),
                           (["count", "--support", "A2,A3", "--n"],
-                           "error: argument --n: expected one argument")):
+                           "error: argument --n: expected one argument"),
+                          (["theorem", "--id", "thm44", "--base", "Q", "--n", "2"],
+                           "error: unrecognized arguments: --base Q"),
+                          (["--nmax", "3", "verify"],
+                           "error: --nmax goes after the subcommand; "
+                           "only --format goes before it")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         captured = capsys.readouterr()
@@ -333,12 +378,15 @@ def test_malformed_x_names_the_option(capsys, xs):
      "error: --window expects four integer labels TL,TR,BL,BR, got '1,2,3'\n"),
     (["families", "--kind", "1", "--x", "4,4"],
      "error: x indices must be distinct, got [4, 4]\n"),
+    (["families", "--kind", "1", "--x", "4,10", "--nmax", "2"],
+     "error: family 10 has no refinement formula; it is swept only with include_open "
+     "(--include-open)\n"),
     (["count", "--support", "A1,A2,A3", "--n", "0", "--corner", "bottom=1"],
      "error: puzzles need n >= 1 pieces\n"),
     (["count", "--support", "A1,A2,A3", "--n", "-2", "--corner", "top=1"],
      "error: puzzles need n >= 1 pieces\n"),
 ), ids=("corner-rank", "corner-side", "window-label", "window-size", "repeated-x",
-        "corner-n-zero", "corner-n-negative"))
+        "open-x", "corner-n-zero", "corner-n-negative"))
 def test_malformed_option_values_name_the_option(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
 
@@ -389,8 +437,8 @@ def test_commands_import_only_the_modules_they_run():
     assert probe["after_count"] == ["stdpuzzle", "stdpuzzle.cli",
                                     "stdpuzzle.counting", "stdpuzzle.pieces"]
     assert probe["after_identify"] == ["stdpuzzle", "stdpuzzle.cli",
-                                       "stdpuzzle.counting", "stdpuzzle.identify",
-                                       "stdpuzzle.pieces", "stdpuzzle.sequences"]
+                                       "stdpuzzle.counting", "stdpuzzle.pieces",
+                                       "stdpuzzle.sequences"]
     # Every public name resolves, and `import *` binds exactly those.
     assert len(probe["all"]) == 50 and probe["star"] == sorted(probe["all"])
 

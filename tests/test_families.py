@@ -198,6 +198,10 @@ def test_sweep_checks_its_arguments_before_the_first_row():
     # a repeated index would list every one of its rows twice
     with pytest.raises(ValueError, match="distinct"):
         sweep(1, 2, xs=[4, 4])
+    # family 10, named without include_open, is not dropped without a word
+    for xs in ([10], [4, 10]):
+        with pytest.raises(ValueError, match="--include-open"):
+            sweep(1, 2, xs=xs)
 
 
 def _f1_maps():

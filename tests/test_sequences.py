@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from stdpuzzle import sequences
 from stdpuzzle.counting import count_prefix
-from stdpuzzle.identify import identify
 from stdpuzzle.pieces import Support
 from stdpuzzle.sequences import (MATCH_FACTORS, MATCH_HEAD, MATCH_OFFSETS,
                                  REGISTRY, catalan, catalan_triangle_t,
@@ -340,7 +339,7 @@ def test_registry_matches_returns_fresh_hits():
 def test_identify_evaluates_no_lattice_term_past_the_head(monkeypatch):
     monkeypatch.setattr(sequences, "_TERMS", {})
     sequences._match_table.cache_clear()
-    identify(Support.parse("A1,A2,A3,A4,A5"), 9)
+    registry_matches(count_prefix(Support.parse("A1,A2,A3,A4,A5"), 9))
     evaluated = sorted(i for name, i in sequences._TERMS
                        if name == "lattice_smooth_paths")
     assert evaluated == list(range(1, MATCH_HEAD + max(MATCH_OFFSETS) + 1))
