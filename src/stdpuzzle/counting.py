@@ -10,17 +10,17 @@ supported piece.
 Zones.  With lo = min(u', v') and hi = max(u', v'), an old rank r lies in
 zone 0 (r < lo), zone 1 (lo <= r < hi-1) or zone 2 (r >= hi-1), and the
 shift adds exactly the zone number to r.  The window's piece is therefore
-fixed by the class (zone of u, zone of v, u < v, u' < v'): at most 36
-classes, of which 24 occur.  `_CLASS_PIECE`, built once at import by
-reducing the window on representative ranks of every class with
-`reduce_window`, holds each class's piece, and `_class_table(mask)` reads
-it to mark the classes a support allows.
+fixed by the class (zone of u, zone of v, u < v, u' < v').  Of the 36
+classes 24 occur, and each of the 24 pieces is exactly one class.
+`_PIECE_RECTANGLES`, built once at import by reducing the window on
+representative ranks of every class with `reduce_window`, holds each
+piece's class as a rectangle.
 
 Layers.  The DP keeps the corner-count table of each column count.  A
-new cell (u', v') collects every old state in its allowed classes, and
-a class is a rectangle of old states (zone x zone) within one half of
-the table (u < v or u > v).  With a 2D prefix sum of each half, a
-rectangle is four lookups at the cuts 0, lo-1, hi-2, 2m, and the allowed
+new cell (u', v') collects every old state whose class is a piece of the
+support, and a class is a rectangle of old states (zone x zone) within
+one half of the table (u < v or u > v).  With a 2D prefix sum of each
+half, a rectangle is four lookups at the cuts 0, lo-1, hi-2, 2m, and the
 rectangles of one orientation collapse to at most 18 signed lookups
 (`_corner_terms`).  A layer thus costs O(m^2) additions of big integers
 where the per-state scan cost O(m^4); it is the 2D form of the
@@ -32,7 +32,7 @@ The brute-force engine sums the paths through its own moves layer by
 layer (and walks them to materialize the puzzles).  `_moves` builds the
 moves once per (m, reachable state): it relabels the old column into the
 new label set and asks `reduce_window` whether the window is a supported
-piece.  It never reads the class table, so the two engines share only
+piece.  It never reads the rectangle table, so the two engines share only
 `Support` and the piece definitions; the definition-level check of both
 is the `reduce_window` filter over every grid filling in the tests.
 """
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from itertools import accumulate, count, islice
 from operator import add
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple
 
 from .pieces import Puzzle, Support, reduce_window
 
@@ -52,53 +52,39 @@ BRUTE_FORCE_BOUND = 5
 LISTING_BOUND = 10 ** 6
 
 
-def _cls(zu: int, zv: int, lt: bool, up: bool) -> int:
-    """Index of the class (zone of u, zone of v, u < v, u' < v')."""
-    return ((up * 3 + zu) * 3 + zv) * 2 + lt
-
-
-def _class_pieces() -> list[Optional[int]]:
-    """The piece ordinal of each class, None for the 12 classes that never
-    occur.  Representatives: the new pair (3, 6) or (6, 3) over 8 labels,
-    where the old ranks 1..6 fill zones 0, 1, 2 two apiece."""
-    ordinals: list[Optional[int]] = [None] * 36
+def _piece_rectangles() -> list[tuple[bool, dict[tuple[int, int, int], int]]]:
+    """rows[p] = (up, {(half, i, j): sign}): the orientation u' < v' of the
+    one class whose windows reduce to piece p, and the inclusion-exclusion
+    terms of its rectangle at the cuts (0, lo-1, hi-2, 2m); terms at cut 0
+    vanish and are dropped.  Representatives: the new pair (3, 6) or (6, 3)
+    over 8 labels, where the old ranks 1..6 fill zones 0, 1, 2 two apiece."""
+    rows: list = [None] * 24
     for u2, v2 in ((3, 6), (6, 3)):
         for u in range(1, 7):
             for v in range(1, 7):
                 if u == v:
                     continue
                 zu, zv = (u >= 3) + (u >= 5), (v >= 3) + (v >= 5)
-                au, av = u + zu, v + zv
-                # window: TL = av, TR = v2, BL = au, BR = u2
-                ordinals[_cls(zu, zv, u < v, u2 < v2)] = \
-                    reduce_window(av, v2, au, u2).ordinal
-    return ordinals
+                # window: TL = shifted v, TR = v2, BL = shifted u, BR = u2
+                p = reduce_window(v + zv, v2, u + zu, u2).ordinal
+                rows[p] = (u2 < v2, {(u < v, i, j): sign for i, j, sign in (
+                    (zu + 1, zv + 1, 1), (zu, zv + 1, -1),
+                    (zu + 1, zv, -1), (zu, zv, 1)) if i and j})
+    return rows
 
 
-_CLASS_PIECE = _class_pieces()
+_PIECE_RECTANGLES = _piece_rectangles()
 
 
-def _class_table(mask: int) -> list[bool]:
-    """allowed[_cls(...)]: whether windows of that class reduce to a piece
-    in the mask."""
-    return [p is not None and bool(mask >> p & 1) for p in _CLASS_PIECE]
-
-
-def _corner_terms(allowed: list[bool], up: bool) -> list[tuple[int, int, int, int]]:
-    """The allowed rectangles of one orientation as terms (coef, half, i, j):
-    the new cell is the sum of coef * P[half][cut i][cut j] over the prefix
-    sums P of the two halves and the cuts (0, lo-1, hi-2, 2m).  Terms at
-    cut 0 vanish and are dropped."""
+def _corner_terms(mask: int, up: bool) -> list[tuple[int, int, int, int]]:
+    """The rectangles of the mask's pieces of orientation `up`, merged into
+    terms (coef, half, i, j): the new cell is the sum of
+    coef * P[half][cut i][cut j] over the prefix sums P of the two halves."""
     coefs: dict[tuple[int, int, int], int] = {}
-    for half in (0, 1):
-        for zu in range(3):
-            for zv in range(3):
-                if not allowed[_cls(zu, zv, half, up)]:
-                    continue
-                for i, j, sign in ((zu + 1, zv + 1, 1), (zu, zv + 1, -1),
-                                   (zu + 1, zv, -1), (zu, zv, 1)):
-                    if i and j:
-                        coefs[half, i, j] = coefs.get((half, i, j), 0) + sign
+    for p, (p_up, terms) in enumerate(_PIECE_RECTANGLES):
+        if p_up == up and mask >> p & 1:
+            for key, sign in terms.items():
+                coefs[key] = coefs.get(key, 0) + sign
     return [(c, half, i, j) for (half, i, j), c in coefs.items() if c]
 
 
@@ -118,8 +104,7 @@ def _prefix_sums(layer: Mapping[tuple[int, int], int],
 def _layers(mask: int) -> Iterator[Mapping[tuple[int, int], int]]:
     """Corner-count tables after m = 1, 2, ... columns, each built from
     the one before; only positive counts are stored."""
-    allowed = _class_table(mask)
-    orientations = [(up, _corner_terms(allowed, up)) for up in (True, False)]
+    orientations = [(up, _corner_terms(mask, up)) for up in (True, False)]
     layer: Mapping[tuple[int, int], int] = {(1, 2): 1, (2, 1): 1}
     for m in count(1):
         yield layer
@@ -217,7 +202,7 @@ def _moves(support: Support, n: int) -> list[dict]:
     """moves[m][(u, v)]: the columns (u', v') over 2m+2 labels that may
     follow the column (u, v) over 2m labels, for m = 1..n and the states
     reachable after m columns.  Each move is checked by `reduce_window`
-    on the relabelled window, not by the DP's class table."""
+    on the relabelled window, not by the DP's rectangle table."""
     if n < 1:
         raise ValueError("puzzles need n >= 1 pieces")
     if n > BRUTE_FORCE_BOUND:

@@ -341,11 +341,11 @@ def q1(i: int, j: int, k: int, l: int, m: int, p: int) -> int:
 def q2(i: int, j: int, k: int, l: int, m: int, p: int) -> int:
     """Splits with a_i < b_k < a_{i+j} < b_{k+l}."""
     _check_q_domain(i, j, k, l, m, p)
-    return sum(_comb0(i + a - 1, a)
-               * _comb0(b + k - a - 1, b)
-               * _comb0(c + j - b - 1, c)
-               * _comb0(2 * m + 2 * p - k - c - i - j, 2 * m - i - j)
-               for a in range(k) for b in range(j) for c in range(l))
+    return sum(sum(_comb0(i + a - 1, a) * _comb0(b + k - a - 1, b) for a in range(k))
+               * sum(_comb0(c + j - b - 1, c)
+                     * _comb0(2 * m + 2 * p - k - c - i - j, 2 * m - i - j)
+                     for c in range(l))
+               for b in range(j))
 
 
 def q3(i: int, j: int, k: int, l: int, m: int, p: int) -> int:

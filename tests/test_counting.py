@@ -69,12 +69,12 @@ def test_engines_match_naive_oracle(text, n):
 
 
 @pytest.mark.parametrize("text", NAMED)
-def test_brute_force_does_not_read_the_class_table(text, monkeypatch):
-    # The DP's class table is switched off and its layers raise; the brute
+def test_brute_force_does_not_read_the_piece_rectangles(text, monkeypatch):
+    # The DP's piece rectangles are blanked and its layers raise; the brute
     # force and the listing must still agree with the reduce_window filter.
     support = Support.parse(text)
     expected = [naive_count(support, n) for n in (1, 2, 3)]
-    monkeypatch.setattr(counting, "_class_table", lambda mask: [False] * 36)
+    monkeypatch.setattr(counting, "_PIECE_RECTANGLES", [(None, {})] * 24)
 
     def no_dp(mask):
         raise AssertionError("the brute force ran the DP")
@@ -85,6 +85,20 @@ def test_brute_force_does_not_read_the_class_table(text, monkeypatch):
     assert len(listed) == expected[-1]
     assert all(is_supported(p, support) for p in listed)
     assert len(set(listed)) == len(listed)
+
+
+def test_each_piece_rectangle_is_pinned():
+    # Piece p's row alone decides the DP on {p}, and it is the one row the
+    # DP on FULL - {p} leaves out; a wrong or swapped row changes a count
+    # or a corner table of one of them.
+    rows = counting._PIECE_RECTANGLES
+    assert len({(up, frozenset(terms.items())) for up, terms in rows}) == 24
+    for p in range(24):
+        for mask in (1 << p, FULL_SUPPORT.mask ^ 1 << p):
+            support = Support.from_mask(mask)
+            assert count_prefix(support, 4) == [count_bruteforce(support, n)
+                                                for n in range(1, 5)]
+            assert corner_table(support, 3).entries == naive_corner_table(support, 3)
 
 
 def test_full_support_counts_every_filling():
