@@ -221,7 +221,11 @@ def cmd_theorem(args) -> int:
     _check_ceiling("--n", args.n, THEOREM_N_BOUND)
     from . import theorems
     fn = getattr(theorems, _THEOREM_FUNCS[name])
-    value = fn(args.n) if name == "fibonacci" else fn(args.i, args.n)
+    try:
+        value = fn(args.n) if name == "fibonacci" else fn(args.i, args.n)
+    except ValueError as exc:
+        inputs = f"--n {args.n}" if name == "fibonacci" else f"--i {args.i}, --n {args.n}"
+        raise ValueError(f"theorem {args.id} ({inputs}): {exc}") from exc
     payload = {"id": args.id, "resolved": name, "i": args.i, "n": args.n,
                "value": str(value)}
     _emit(args, payload, csv_rows=[payload])
@@ -230,7 +234,6 @@ def cmd_theorem(args) -> int:
 
 def cmd_compose(args) -> int:
     from . import theorems
-    from .counting import count_dp
     _check_ceiling("--n", args.n, COMPOSE_N_BOUND)
     query = theorems.CompositionQuery(args.x, args.y, args.z, args.n,
                                       args.converter)
@@ -240,6 +243,7 @@ def cmd_compose(args) -> int:
                "support": str(theorems.compose_support(query)),
                "value": str(value)}
     if args.verify:
+        from .counting import count_dp
         check = count_dp(theorems.compose_support(query), args.n)
         payload["engine_count"] = str(check)
         payload["verified"] = check == value

@@ -1,4 +1,4 @@
-"""Closed-form counts for converter-augmented families and gluing identities.
+"""Closed-form counts for converter-augmented families and glued supports.
 
 The simple pieces (module skeleton) all have known counting formulas.
 SIMPLE_PIECES holds one row per family: its support, its count
@@ -10,9 +10,12 @@ prescribed bottom-right / top-right ranks.  The module adds:
   (a123_plus_b and friends),
 * the partition counts q1/q2/q3 and junction weights ty behind the
   composition rule, and compose itself, which counts puzzles whose support
-  glues an increasing family, one 1-converter, and a mirrored family,
-* the flip identities (flip_pair_identity, flip_pair_corollary) and the
-  product identity (product_identity_pair) for subscript-aligned supports.
+  glues an increasing family, one 1-converter, and a mirrored family.
+
+The module imports no counting code: every count here is a closed form.
+The paper's identities, which compare engine counts of related supports,
+are checked by the flip-pair-identity and product-identity claims of
+`verify`.
 
 Fractional intermediate values are computed exactly and must come out
 integral; a non-integral result raises, it never truncates.
@@ -30,8 +33,7 @@ import random
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .counting import count_prefix
-from .pieces import Support, piece
+from .pieces import Support
 from .sequences import (catalan, double_factorial, entringer, fibonacci,
                         lattice_L, multinomial_all_pairs, secant)
 from .transforms import f1, f2, f12, f123
@@ -425,63 +427,6 @@ def compose(query: CompositionQuery) -> int:
             for (k, l), pz in right:
                 total += px * ty(query.y, i, j, k, l, m, p) * pz
     return total + simple_piece_count(query.x, n) + simple_piece_count(query.z, n)
-
-
-def _aligned_support(alpha, choice_p, choice_q) -> Support:
-    members = []
-    for i in alpha:
-        members.append(piece(f"{choice_p[i]}{i}"))
-        members.append(piece(f"{choice_q[i]}{i}"))
-    return Support(frozenset(members))
-
-
-def _counts_twice_all_a(alpha, choice_p, choice_q, n: int) -> bool:
-    """Whether the aligned support counts twice the all-A support at every
-    n' <= n (one DP pass per support)."""
-    lhs = count_prefix(_aligned_support(alpha, choice_p, choice_q), n)
-    rhs = count_prefix(Support.of(*[f"A{i}" for i in alpha]), n)
-    return lhs == [2 * c for c in rhs]
-
-
-def _flip_pair(alpha, choice_p, choice_q, n: int, p_letters, q_letters) -> bool:
-    """The flip-pair check with P_i drawn from p_letters and Q_i from q_letters."""
-    alpha = sorted(set(alpha))
-    for i in alpha:
-        if choice_p[i] not in p_letters or choice_q[i] not in q_letters:
-            raise ValueError(f"choices must pick P_i in {{{','.join(p_letters)}}} "
-                             f"and Q_i in {{{','.join(q_letters)}}}")
-    return not alpha or _counts_twice_all_a(alpha, choice_p, choice_q, n)
-
-
-def flip_pair_identity(alpha, choice_p, choice_q, n: int) -> bool:
-    """Check: picking P_i from {A_i,B_i} and Q_i from {C_i,D_i} for i in
-    alpha, the union counts twice the all-A support, at every n' <= n."""
-    return _flip_pair(alpha, choice_p, choice_q, n, ("A", "B"), ("C", "D"))
-
-
-def flip_pair_corollary(alpha, choice_p, choice_q, n: int) -> bool:
-    """Same identity with P_i from {A_i,C_i} and Q_i from {B_i,D_i}."""
-    return _flip_pair(alpha, choice_p, choice_q, n, ("A", "C"), ("B", "D"))
-
-
-def product_identity_pair(classes, alpha, n: int) -> tuple[list[int], list[int]]:
-    """Return, as vectors over n' = 1..n,
-              (count of {X_i : X in classes, i in alpha},
-               count of A_alpha  *  count of {X_1 : X in classes}).
-
-    The two agree: spreading a subscript-1 family across the subscripts in
-    alpha multiplies the counts.
-    """
-    classes = sorted(set(classes))
-    alpha = sorted(set(alpha))
-    for c in classes:
-        if c not in ("A", "B", "C", "D"):
-            raise ValueError(f"unknown piece category {c!r}")
-    spread = Support.of(*[f"{c}{i}" for c in classes for i in alpha])
-    ones = Support.of(*[f"{c}1" for c in classes])
-    a_alpha = Support.of(*[f"A{i}" for i in alpha])
-    rhs = [a * b for a, b in zip(count_prefix(a_alpha, n), count_prefix(ones, n))]
-    return count_prefix(spread, n), rhs
 
 
 def sample_composition_queries(count: int, nmax: int = 3, seed: int = 20240809,

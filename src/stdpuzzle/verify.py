@@ -258,38 +258,45 @@ def _composition(hi: int) -> tuple[list, list]:
     return computed, expected
 
 
+def _aligned(letters, alpha) -> Support:
+    """The support {X_i : X in letters, i in alpha}."""
+    return Support.of(*[f"{x}{i}" for x in letters for i in alpha])
+
+
 def _flip_pair(hi: int) -> tuple[list, list]:
-    checks = []
+    """{P_i, Q_i : i in alpha} counts twice A_alpha, with P_i, Q_i drawn
+    from A/B and C/D (the identity) or from A/C and B/D (its corollary)."""
+    cases = []  # (alpha, the letters P_i Q_i of each i in alpha, terms compared)
     for r in (1, 2):
         for alpha in combinations(range(1, 7), r):
             for bits_p in range(1 << r):
                 for bits_q in range(1 << r):
-                    cp = {i: "AB"[bits_p >> t & 1] for t, i in enumerate(alpha)}
-                    cq = {i: "CD"[bits_q >> t & 1] for t, i in enumerate(alpha)}
-                    cp2 = {i: "AC"[bits_p >> t & 1] for t, i in enumerate(alpha)}
-                    cq2 = {i: "BD"[bits_q >> t & 1] for t, i in enumerate(alpha)}
-                    checks.append(theorems.flip_pair_identity(alpha, cp, cq, hi))
-                    checks.append(theorems.flip_pair_corollary(alpha, cp2, cq2, hi))
+                    for p, q in (("AB", "CD"), ("AC", "BD")):
+                        cases.append((alpha, [p[bits_p >> t & 1] + q[bits_q >> t & 1]
+                                              for t in range(r)], hi))
     rng = random.Random(13)
     for _ in range(20):
         r = rng.randrange(3, 7)
         alpha = tuple(sorted(rng.sample(range(1, 7), r)))
-        cp = {i: rng.choice("AB") for i in alpha}
-        cq = {i: rng.choice("CD") for i in alpha}
-        checks.append(theorems.flip_pair_identity(alpha, cp, cq, min(hi, 2)))
-    return [all(checks), len(checks)], [True, len(checks)]
+        ps = [rng.choice("AB") for _ in alpha]
+        qs = [rng.choice("CD") for _ in alpha]
+        cases.append((alpha, [p + q for p, q in zip(ps, qs)], min(hi, 2)))
+    pairs = [(Support.of(*map(_aligned, letters, zip(alpha))), _aligned("A", alpha), n)
+             for alpha, letters, n in cases]
+    counts = {s: count_prefix(s, hi) for s in {s for pair in pairs for s in pair[:2]}}
+    ok = all(counts[lhs][:n] == [2 * c for c in counts[rhs][:n]] for lhs, rhs, n in pairs)
+    return [ok, len(pairs)], [True, len(pairs)]
 
 
 def _product_identity(hi: int) -> tuple[list, list]:
-    checks = failures = 0
-    for size in range(1, 5):
-        for classes in combinations("ABCD", size):
-            for r in (1, 2):
-                for alpha in combinations(range(1, 7), r):
-                    lhs, rhs = theorems.product_identity_pair(classes, alpha, hi)
-                    checks += len(lhs)
-                    failures += sum(a != b for a, b in zip(lhs, rhs))
-    return [failures, checks], [0, checks]
+    """{X_i : X in classes, i in alpha} counts A_alpha times {X_1 : X in classes}."""
+    triples = [(_aligned(classes, alpha), _aligned("A", alpha), _aligned(classes, (1,)))
+               for size in range(1, 5) for classes in combinations("ABCD", size)
+               for r in (1, 2) for alpha in combinations(range(1, 7), r)]
+    counts = {s: count_prefix(s, hi) for s in {s for triple in triples for s in triple}}
+    failures = sum(c != a * b for spread, a_alpha, ones in triples
+                   for c, a, b in zip(counts[spread], counts[a_alpha], counts[ones]))
+    return [failures, hi * len(triples)], [0, hi * len(triples)]
 
 
 def _flip_invariance(hi: int) -> tuple[list, list]:

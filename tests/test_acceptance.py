@@ -228,6 +228,18 @@ def test_c11_refinement_table():
                             table.get((i, i + j), 0), (row.x, i, j, m)
 
 
+def aligned(letters, alpha) -> Support:
+    """The support {X_i : X in letters, i in alpha}."""
+    return Support.of(*[f"{x}{i}" for x in letters for i in alpha])
+
+
+def counts_twice_all_a(alpha, letters, n: int) -> bool:
+    """Whether {P_i, Q_i : i in alpha}, with the letters P_i Q_i of each i
+    in alpha, counts twice A_alpha at every n' <= n."""
+    support = Support.of(*map(aligned, letters, zip(alpha)))
+    return count_prefix(support, n) == [2 * c for c in count_prefix(aligned("A", alpha), n)]
+
+
 def test_c12_flip_and_product_identities():
     with criterion(12, "flip identities, the whirlpool instance, and the "
                        "product identity"):
@@ -235,20 +247,20 @@ def test_c12_flip_and_product_identities():
             for alpha in combinations(range(1, 7), r):
                 for bits_p in range(1 << r):
                     for bits_q in range(1 << r):
-                        cp = {i: "AB"[bits_p >> t & 1] for t, i in enumerate(alpha)}
-                        cq = {i: "CD"[bits_q >> t & 1] for t, i in enumerate(alpha)}
-                        cp2 = {i: "AC"[bits_p >> t & 1] for t, i in enumerate(alpha)}
-                        cq2 = {i: "BD"[bits_q >> t & 1] for t, i in enumerate(alpha)}
-                        # each call checks every n' <= 3
-                        assert theorems.flip_pair_identity(alpha, cp, cq, 3)
-                        assert theorems.flip_pair_corollary(alpha, cp2, cq2, 3)
+                        # the identity draws P_i Q_i from A/B and C/D, its
+                        # corollary from A/C and B/D; each checks every n' <= 3
+                        for p, q in (("AB", "CD"), ("AC", "BD")):
+                            letters = [p[bits_p >> t & 1] + q[bits_q >> t & 1]
+                                       for t in range(r)]
+                            assert counts_twice_all_a(alpha, letters, 3), (alpha, letters)
         rng = random.Random(99)
         for _ in range(20):
             r = rng.randrange(3, 7)
             alpha = tuple(sorted(rng.sample(range(1, 7), r)))
-            cp = {i: rng.choice("AB") for i in alpha}
-            cq = {i: rng.choice("CD") for i in alpha}
-            assert theorems.flip_pair_identity(alpha, cp, cq, rng.randrange(1, 4))
+            ps = [rng.choice("AB") for _ in alpha]
+            qs = [rng.choice("CD") for _ in alpha]
+            letters = [p + q for p, q in zip(ps, qs)]
+            assert counts_twice_all_a(alpha, letters, rng.randrange(1, 4)), (alpha, letters)
         knuth = Support.parse("A1,A4,B3,B6,C3,C6,D1,D4")
         for n in (1, 2, 3):
             assert count_dp(knuth, n) == whirlpool_W(n + 1)
@@ -256,8 +268,9 @@ def test_c12_flip_and_product_identities():
             for classes in combinations("ABCD", size):
                 for r in (1, 2):
                     for alpha in combinations(range(1, 7), r):
-                        lhs, rhs = theorems.product_identity_pair(
-                            classes, alpha, 3)
+                        lhs = count_prefix(aligned(classes, alpha), 3)
+                        rhs = [a * b for a, b in zip(count_prefix(aligned("A", alpha), 3),
+                                                     count_prefix(aligned(classes, (1,)), 3))]
                         assert lhs == rhs, (classes, alpha)
 
 

@@ -425,13 +425,28 @@ print(json.dumps({"bare": bare, "code": code, "out": out.getvalue(),
                   "star": sorted(k for k in star if k != "__builtins__")}))
 """
 
+# The closed-form commands, in a fresh process: without --verify they
+# load no counting code.
+_CLOSED_FORM_PROBE = """
+import contextlib, io, json, sys
+from stdpuzzle.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["theorem", "--id", "a23b", "--i", "4", "--n", "5"]),
+             main(["compose", "--x", "4", "--y", "2", "--z", "9", "--n", "3"])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("stdpuzzle"))]))
+"""
 
-def test_commands_import_only_the_modules_they_run():
+
+def run_probe(code: str):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    probe = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_commands_import_only_the_modules_they_run():
+    probe = run_probe(_STARTUP_PROBE)
     assert probe["bare"] == ["stdpuzzle"]
     assert probe["code"] == 0 and json.loads(probe["out"])["count"] == "132"
     assert probe["after_count"] == ["stdpuzzle", "stdpuzzle.cli",
@@ -441,6 +456,9 @@ def test_commands_import_only_the_modules_they_run():
                                        "stdpuzzle.sequences"]
     # Every public name resolves, and `import *` binds exactly those.
     assert len(probe["all"]) == 50 and probe["star"] == sorted(probe["all"])
+    assert run_probe(_CLOSED_FORM_PROBE) == [
+        [0, 0], ["stdpuzzle", "stdpuzzle.cli", "stdpuzzle.pieces", "stdpuzzle.sequences",
+                 "stdpuzzle.theorems", "stdpuzzle.transforms"]]
 
 
 _DATACLASSES_PROBE = """
@@ -461,11 +479,7 @@ print(json.dumps(seen))
 
 
 def test_cold_commands_do_not_import_dataclasses():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", _DATACLASSES_PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    assert json.loads(done.stdout) == {
+    assert run_probe(_DATACLASSES_PROBE) == {
         name: [0, False] for name in ("count", "identify", "families", "compose",
                                       "verify", "skeleton")}
 
@@ -478,7 +492,13 @@ def test_cold_commands_do_not_import_dataclasses():
     (["seq", "--name", "secant", "--upto", "501"],
      "error: secant index 501 out of range 0..500\n"),
     (["theorem", "--id", "a12345b", "--n", "2000"],
-     "error: E(3998,1) out of range 0 <= k <= n <= 1000\n"),
+     "error: theorem a12345b (--i 1, --n 2000): "
+     "E(3998,1) out of range 0 <= k <= n <= 1000\n"),
+    (["theorem", "--id", "a12345b", "--n", "501"],
+     "error: theorem a12345b (--i 1, --n 501): secant index 502 out of range 0..500\n"),
+    (["theorem", "--id", "simple_piece", "--i", "10", "--n", "12"],
+     "error: theorem simple_piece (--i 10, --n 12): "
+     "n=13 exceeds the lattice-path bound 12\n"),
     *((["theorem", "--id", theorem_id, "--n", "2001"],
        "error: --n 2001 exceeds the ceiling 2000\n")
       for theorem_id in (*cli._THEOREM_FUNCS, "thm44")),
@@ -494,7 +514,8 @@ def test_cold_commands_do_not_import_dataclasses():
      "error: --nmax 101 exceeds the ceiling 100\n"),
     (["skeleton", "--support", "A1,A2,A3", "--n", "10001", "--dot", "-"],
      "error: --n 10001 exceeds the ceiling 10000\n"),
-), ids=("families", "seq", "secant", "entringer",
+), ids=("families", "seq", "secant", "entringer", "theorem-secant",
+         "theorem-lattice-paths",
         *(f"theorem-{t}" for t in (*cli._THEOREM_FUNCS, "thm44")),
         "count", "count-corner", "count-brute", "compose", "identify", "skeleton"))
 def test_inputs_past_a_ceiling_exit_2_with_one_line(capsys, argv, message):

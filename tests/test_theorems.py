@@ -3,7 +3,8 @@ from itertools import combinations
 import pytest
 
 from stdpuzzle import theorems
-from stdpuzzle.counting import corner_table, count_bruteforce, count_dp
+from stdpuzzle.counting import (corner_table, count_bruteforce, count_dp,
+                                count_prefix)
 from stdpuzzle.pieces import Support
 from stdpuzzle.sequences import fibonacci
 from stdpuzzle.skeleton import all_simple_pieces
@@ -11,10 +12,9 @@ from stdpuzzle.theorems import (CompositionQuery, SIMPLE_PIECES, a12_plus_b,
                                 a12_plus_c, a123_plus_b, a123_plus_c,
                                 a12345_plus_b, a2_plus_b, a23_plus_b, compose,
                                 compose_support, converter_image,
-                                fibonacci_family, flip_pair_corollary,
-                                flip_pair_identity, product_identity_pair,
-                                px_refinement, q1, q2, q3, simple_piece_row,
-                                simple_piece_support, simple_piece_count, ty)
+                                fibonacci_family, px_refinement, q1, q2, q3,
+                                simple_piece_row, simple_piece_support,
+                                simple_piece_count, ty)
 
 
 def test_simple_piece_table_rows():
@@ -217,32 +217,33 @@ def test_compose_rejects_family_ten():
         CompositionQuery(4, 1, 10, 2)
 
 
-def test_flip_pair_identity_examples():
-    assert flip_pair_identity((2, 3), {2: "A", 3: "A"}, {2: "D", 3: "D"}, 2)
+def counts_twice(codes: str, all_a: str, n: int) -> bool:
+    """Whether the support `codes` counts twice `all_a` at every n' <= n."""
+    return count_prefix(Support.parse(codes), n) == \
+        [2 * c for c in count_prefix(Support.parse(all_a), n)]
+
+
+def test_flip_identity_examples():
+    assert counts_twice("A2,A3,D2,D3", "A2,A3", 2)
     assert count_dp(Support.parse("A2,A3,D2,D3"), 2) == 10
-    assert flip_pair_identity(
-        (1, 2, 3, 4, 5, 6), {i: "B" for i in range(1, 7)},
-        {i: "C" for i in range(1, 7)}, 2)
-    assert flip_pair_identity((), {}, {}, 1)
-    with pytest.raises(ValueError):
-        flip_pair_identity((1,), {1: "C"}, {1: "D"}, 1)
+    assert counts_twice("B1,B2,B3,B4,B5,B6,C1,C2,C3,C4,C5,C6",
+                        "A1,A2,A3,A4,A5,A6", 2)
 
 
-def test_flip_pair_corollary_examples():
-    assert flip_pair_corollary((2, 5), {2: "A", 5: "C"}, {2: "B", 5: "D"}, 2)
-    assert flip_pair_corollary((), {}, {}, 1)
+def test_flip_corollary_examples():
+    assert counts_twice("A2,B2,C5,D5", "A2,A5", 2)
     # the vortex support is one instance of the identity
     knuth = Support.parse("A1,A4,B3,B6,C3,C6,D1,D4")
     assert count_dp(knuth, 2) == 2 * count_dp(Support.parse("A1,A3,A4,A6"), 2)
 
 
 def test_product_identity_examples():
-    lhs, rhs = product_identity_pair(("A", "B", "C"), (1,), 3)
-    assert lhs == rhs
-    lhs, rhs = product_identity_pair(("A",), (2, 5), 3)
-    assert lhs == rhs
-    lhs, rhs = product_identity_pair(("A", "B", "C"), (1, 2), 2)
-    assert lhs == rhs
+    # {X_i : X in classes, i in alpha} counts A_alpha times {X_1 : X in classes}
+    for spread, a_alpha, ones, n in (("A1,B1,C1", "A1", "A1,B1,C1", 3),
+                                     ("A2,A5", "A2,A5", "A1", 3),
+                                     ("A1,A2,B1,B2,C1,C2", "A1,A2", "A1,B1,C1", 2)):
+        lhs, a, b = (count_prefix(Support.parse(s), n) for s in (spread, a_alpha, ones))
+        assert lhs == [x * y for x, y in zip(a, b)]
 
 
 def test_fibonacci_family():

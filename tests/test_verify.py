@@ -56,3 +56,21 @@ def test_hypergeometric_halves_print_as_integers():
     result = run_verification(["hypergeometric-sums"], nmax=8).results[0]
     assert result.status == STATUS_PASS
     assert all(v.isdigit() for v in result.to_dict()["computed"])
+
+
+@pytest.mark.parametrize("claim, passes, vector", (
+    ("flip-pair-identity", 508, [True, 548]),
+    ("product-identity", 315, [0, 945]),
+))
+def test_identity_claims_count_each_support_once(monkeypatch, claim, passes, vector):
+    masks = []
+    count_prefix = verify.count_prefix
+
+    def recorder(support, nmax):
+        masks.append(support.mask)
+        return count_prefix(support, nmax)
+
+    monkeypatch.setattr(verify, "count_prefix", recorder)
+    result = run_verification([claim], nmax=3).results[0]
+    assert len(masks) == len(set(masks)) == passes
+    assert result.computed == result.expected == vector
