@@ -32,8 +32,8 @@ _EXPORTS = (
                      "classify", "count_linear_extensions", "export_dot",
                      "generating_skeleton", "puzzle_skeleton", "simple_piece",
                      "validate_basic"), "skeleton")
-    | dict.fromkeys(("check_invariance", "f1", "f2", "f3", "f12", "f123",
-                     "t1", "t2", "t3"), "transforms")
+    | dict.fromkeys(("f1", "f2", "f3", "f12", "f123", "t1", "t2", "t3"),
+                  "transforms")
 )
 
 __all__ = sorted(_EXPORTS)

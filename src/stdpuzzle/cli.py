@@ -19,13 +19,11 @@ import sys
 
 from .pieces import Support, piece_table, reduce_window
 
-# Theorem id -> its function's name in `theorems`; every one but
-# fibonacci takes (i, n).
+# Theorem id -> its function's name in `theorems`; every one takes (i, n).
 _THEOREM_FUNCS = {
     "a123b": "a123_plus_b", "a12b": "a12_plus_b", "a123c": "a123_plus_c",
     "a12c": "a12_plus_c", "a23b": "a23_plus_b", "a2b": "a2_plus_b",
     "a12345b": "a12345_plus_b", "simple_piece": "simple_piece_count",
-    "fibonacci": "fibonacci_family",
 }
 
 # Theorem numbers as aliases of the descriptive ids.
@@ -184,9 +182,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_seq(args) -> int:
-    from .sequences import REGISTRY, double_factorial
+    from .sequences import REGISTRY
     generators = {seq.name: seq.generator for seq in REGISTRY}
-    generators["double_factorial"] = double_factorial  # in REGISTRY it would match every sweep
     if args.name not in generators:
         raise ValueError(f"unknown sequence {args.name!r}; "
                          f"choose from {', '.join(sorted(generators))}")
@@ -205,8 +202,12 @@ def cmd_seq(args) -> int:
     # The last term first, so a term past its generator's reach fails at
     # once; then the rest in ascending order, in which a triangle's cached
     # row extends instead of being rebuilt from row 0 for each term.
-    last = str(fn(args.upto))
-    values = [str(fn(k)) for k in range(args.start, args.upto)] + [last]
+    try:
+        last = str(fn(args.upto))
+        values = [str(fn(k)) for k in range(args.start, args.upto)] + [last]
+    except ValueError as exc:
+        raise ValueError(f"seq {args.name} (--start {args.start}, "
+                         f"--upto {args.upto}): {exc}") from exc
     payload = {"name": args.name, "start": args.start, "upto": args.upto,
                "values": values}
     _emit(args, payload, csv_rows=[{"k": k, "value": v} for k, v in
@@ -222,10 +223,9 @@ def cmd_theorem(args) -> int:
     from . import theorems
     fn = getattr(theorems, _THEOREM_FUNCS[name])
     try:
-        value = fn(args.n) if name == "fibonacci" else fn(args.i, args.n)
+        value = fn(args.i, args.n)
     except ValueError as exc:
-        inputs = f"--n {args.n}" if name == "fibonacci" else f"--i {args.i}, --n {args.n}"
-        raise ValueError(f"theorem {args.id} ({inputs}): {exc}") from exc
+        raise ValueError(f"theorem {args.id} (--i {args.i}, --n {args.n}): {exc}") from exc
     payload = {"id": args.id, "resolved": name, "i": args.i, "n": args.n,
                "value": str(value)}
     _emit(args, payload, csv_rows=[payload])
@@ -353,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem", help="evaluate a closed-form family count")
     p.add_argument("--id", required=True)
-    p.add_argument("--i", type=int, default=1)
+    p.add_argument("--i", type=int, default=1,
+                   help="converter index 1..6, or the family 1..20 for simple_piece")
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("compose", help="count a glued family by the triple sum")

@@ -51,7 +51,7 @@ from typing import Iterator, Optional
 from .counting import count_prefix
 from .pieces import Support
 from .sequences import registry_matches
-from .theorems import SIMPLE_PIECES, simple_piece_support
+from .theorems import SIMPLE_PIECES, simple_piece_row
 from .transforms import SYMMETRIES, f2, f12, map_mask
 
 _FORMULA_FREE = frozenset(r.x for r in SIMPLE_PIECES if r.refinement is None)
@@ -71,11 +71,11 @@ def _converter_mask(converter_kind: str, subset) -> int:
 
 def _base_mask(x: int, z: Optional[int], mirrored: bool) -> int:
     """The mask of a group's support without converters."""
-    base = simple_piece_support(x)
+    base = simple_piece_row(x).support
     if mirrored:
         base = f2(base)
     if z is not None:
-        base |= f12(simple_piece_support(z))
+        base |= f12(simple_piece_row(z).support)
     return base.mask
 
 

@@ -34,8 +34,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .pieces import Support
-from .sequences import (catalan, double_factorial, entringer, fibonacci,
-                        lattice_L, multinomial_all_pairs, secant)
+from .sequences import (catalan, double_factorial, entringer, lattice_L,
+                        multinomial_all_pairs, secant)
 from .transforms import f1, f2, f12, f123
 
 
@@ -137,10 +137,6 @@ def simple_piece_row(x: int) -> SimplePieceRow:
     if x not in _ROW_BY_X:
         raise ValueError(f"simple piece index {x} out of range 1..20")
     return _ROW_BY_X[x]
-
-
-def simple_piece_support(x: int) -> Support:
-    return simple_piece_row(x).support
 
 
 def simple_piece_count(x: int, n: int) -> int:
@@ -277,12 +273,6 @@ def a12345_plus_b(i: int, n: int) -> int:
                for t in range(1, 2 * n - 1)) + secant(n + 1)
 
 
-def fibonacci_family(n: int) -> int:
-    """Count for {A1,B1,C1}: the Fibonacci number F(n+3)."""
-    _check_n(n, 1, "fibonacci_family")
-    return fibonacci(n + 3)
-
-
 #: The families the composite f1 o f2 o f3 fixes: `converter_image` is
 #: defined on these alone.
 CONVERTER_FAMILIES = ("A2,A3", "A2", "A1,A2,A3,A4,A5")
@@ -398,8 +388,8 @@ class CompositionQuery(_CompositionFields):
 
 def compose_support(query: CompositionQuery) -> Support:
     """The glued support the composition rule counts."""
-    sx = simple_piece_support(query.x)
-    sz = simple_piece_support(query.z)
+    sx = simple_piece_row(query.x).support
+    sz = simple_piece_row(query.z).support
     if query.converter_kind == "B":
         return sx | Support.of(f"B{query.y}") | f12(sz)
     return f2(sx) | Support.of(f"C{query.y}") | f1(sz)

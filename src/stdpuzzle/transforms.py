@@ -11,9 +11,8 @@ f2, f3, given here as permutations of the piece ordinals:
     f3:  swaps categories A<->D and B<->C, permuting indices by
          1->1, 2->5, 3->6, 4->4, 5->2, 6->3
 
-Each f_i preserves the number of puzzles over a support: counting a
-support and counting its image must agree, which check_invariance verifies
-with two independent brute-force counts.
+Each f_i preserves the number of puzzles over a support: a support and
+its image count alike, which the flip-invariance claim of `verify` checks.
 """
 
 from __future__ import annotations
@@ -95,21 +94,3 @@ def f12(support: Support) -> Support:
 def f123(support: Support) -> Support:
     """The composite f1 after f2 after f3."""
     return f1(f2(f3(support)))
-
-
-#: Largest n that check_invariance enumerates.
-INVARIANCE_BOUND = 4
-
-
-def check_invariance(support: Support, n: int, fmap) -> bool:
-    """Brute-force check that a support and its image under fmap (f1, f2,
-    f3 or a composite of them) count identically.
-
-    Both sides are enumerated independently; n is capped by INVARIANCE_BOUND
-    to keep the enumeration at desk scale.
-    """
-    from .counting import count_bruteforce
-
-    if n > INVARIANCE_BOUND:
-        raise ValueError(f"n={n} exceeds the brute-force bound {INVARIANCE_BOUND}")
-    return count_bruteforce(support, n) == count_bruteforce(fmap(support), n)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from decimal import Decimal
@@ -113,8 +114,6 @@ def test_seq(capsys):
                          ("whirlpool", ["2", "8", "84"])):
         payload = run_json(capsys, "seq", "--name", name, "--upto", "3")
         assert payload["start"] == 1 and payload["values"] == values
-    payload = run_json(capsys, "seq", "--name", "double_factorial", "--upto", "5")
-    assert payload["values"] == ["1", "1", "2", "3", "8", "15"]
 
 
 def test_seq_prints_counts_past_the_str_digit_limit(capsys):
@@ -310,17 +309,22 @@ def test_families_jsonl(capsys):
 def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "count", "--support", "Z9", "--n", "2")
     assert code == 2 and "error" in err
-    # an unknown name, and the retired names of two registry sequences
-    for name in ("nonsense", "lattice", "multinomial_pairs"):
+    # an unknown name, the retired names of two registry sequences, and
+    # plain k!!, which the registry serves as double_factorial_odd/_even
+    for name in ("nonsense", "lattice", "multinomial_pairs", "double_factorial"):
         code, _, err = run(capsys, "seq", "--name", name, "--upto", "3")
         assert code == 2 and f"unknown sequence {name!r}" in err
     assert run(capsys, "seq", "--name", "catalan", "--start", "5", "--upto", "2") \
         == (2, "", "error: --start 5 exceeds --upto 2\n")
     assert run(capsys, "seq", "--name", "naturals", "--start", "-3", "--upto", "2") \
         == (2, "", "error: --start -3 is below the floor 0\n")
-    # an explicit start outside the domain is the generator's error
+    # an explicit start outside the domain is the generator's error,
+    # prefixed with the command's options
     assert run(capsys, "seq", "--name", "whirlpool", "--start", "0", "--upto", "3") \
-        == (2, "", "error: whirlpool_W needs n >= 1\n")
+        == (2, "", "error: seq whirlpool (--start 0, --upto 3): whirlpool_W needs n >= 1\n")
+    # a retired theorem id: F(n+3) is `seq --name fibonacci --start N+3 --upto N+3`
+    assert run(capsys, "theorem", "--id", "fibonacci", "--i", "99", "--n", "3") \
+        == (2, "", "error: unknown theorem id 'fibonacci'\n")
     code, _, _ = run(capsys, "count", "--support", "A1", "--n", "9",
                      "--engine", "brute")
     assert code == 2
@@ -455,7 +459,7 @@ def test_commands_import_only_the_modules_they_run():
                                        "stdpuzzle.counting", "stdpuzzle.pieces",
                                        "stdpuzzle.sequences"]
     # Every public name resolves, and `import *` binds exactly those.
-    assert len(probe["all"]) == 50 and probe["star"] == sorted(probe["all"])
+    assert len(probe["all"]) == 49 and probe["star"] == sorted(probe["all"])
     assert run_probe(_CLOSED_FORM_PROBE) == [
         [0, 0], ["stdpuzzle", "stdpuzzle.cli", "stdpuzzle.pieces", "stdpuzzle.sequences",
                  "stdpuzzle.theorems", "stdpuzzle.transforms"]]
@@ -490,7 +494,7 @@ def test_cold_commands_do_not_import_dataclasses():
     (["seq", "--name", "catalan", "--upto", "2001"],
      "error: --upto 2001 exceeds the ceiling 2000\n"),
     (["seq", "--name", "secant", "--upto", "501"],
-     "error: secant index 501 out of range 0..500\n"),
+     "error: seq secant (--start 0, --upto 501): secant index 501 out of range 0..500\n"),
     (["theorem", "--id", "a12345b", "--n", "2000"],
      "error: theorem a12345b (--i 1, --n 2000): "
      "E(3998,1) out of range 0 <= k <= n <= 1000\n"),
@@ -525,8 +529,8 @@ def test_inputs_past_a_ceiling_exit_2_with_one_line(capsys, argv, message):
 def test_inputs_at_a_ceiling_run(capsys):
     payload = run_json(capsys, "seq", "--name", "naturals", "--upto", "2000")
     assert payload["values"][-1] == "2000"
-    payload = run_json(capsys, "theorem", "--id", "fibonacci", "--n", "2000")
-    assert len(payload["value"]) == 419  # F(2003)
+    payload = run_json(capsys, "theorem", "--id", "a123b", "--n", "2000")
+    assert payload["value"] == str(4 * math.prod(range(1, 4002, 2)) // 3)  # (4/3)·4001!!
     code, out, _ = run(capsys, "families", "--kind", "1", "--nmax", "24",
                        "--x", "16")
     assert code == 0
@@ -542,6 +546,25 @@ def test_inputs_at_a_ceiling_run(capsys):
     code, out, _ = run(capsys, "skeleton", "--support", "A3", "--n", "10000",
                        "--dot", "-")
     assert code == 0 and out.count(" -> ") == 2 * 10000 + 1
+
+
+def readme_commands():
+    """The arguments of each `stdpuzzle …` line in the README's command-line
+    block, with its `#` comment stripped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("stdpuzzle ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where the commands write their files
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        code = exc.code
+    assert code == 0, capsys.readouterr().err
 
 
 def test_empty_csv_table_prints_nothing(capsys):

@@ -9,7 +9,7 @@ from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import sweep
 from stdpuzzle.pieces import Support
 from stdpuzzle.theorems import (SIMPLE_PIECES, CompositionQuery, a123_plus_b,
-                                compose, simple_piece_support)
+                                compose, simple_piece_row)
 from stdpuzzle.transforms import f1, f2
 
 DESCRIPTOR_KEYS = ("x", "converter_kind", "converter_subset", "z", "mirrored",
@@ -18,7 +18,7 @@ DESCRIPTOR_KEYS = ("x", "converter_kind", "converter_subset", "z", "mirrored",
 
 def a_indices(x):
     """The indices of simple piece x's pieces, all of category A."""
-    codes = str(simple_piece_support(x)).split(",")
+    codes = str(simple_piece_row(x).support).split(",")
     assert all(code[0] == "A" for code in codes)
     return [int(code[1:]) for code in codes]
 

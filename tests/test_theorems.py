@@ -12,14 +12,13 @@ from stdpuzzle.theorems import (CompositionQuery, SIMPLE_PIECES, a12_plus_b,
                                 a12_plus_c, a123_plus_b, a123_plus_c,
                                 a12345_plus_b, a2_plus_b, a23_plus_b, compose,
                                 compose_support, converter_image,
-                                fibonacci_family, px_refinement, q1, q2, q3,
-                                simple_piece_row, simple_piece_support,
+                                px_refinement, q1, q2, q3, simple_piece_row,
                                 simple_piece_count, ty)
 
 
 def test_simple_piece_table_rows():
     assert len(SIMPLE_PIECES) == 20
-    assert str(simple_piece_support(8)) == "A1,A2,A3,A4,A5"
+    assert str(simple_piece_row(8).support) == "A1,A2,A3,A4,A5"
     assert simple_piece_row(10).refinement is None
     assert {row.support for row in SIMPLE_PIECES} == set(all_simple_pieces(1))
     with pytest.raises(ValueError):
@@ -28,7 +27,7 @@ def test_simple_piece_table_rows():
 
 @pytest.mark.parametrize("x", range(1, 21))
 def test_simple_piece_formulas_match_engine(x):
-    support = simple_piece_support(x)
+    support = simple_piece_row(x).support
     for n in (1, 2, 3, 4):
         assert simple_piece_count(x, n) == count_dp(support, n)
 
@@ -134,7 +133,7 @@ def test_px_refinement_values():
 
 @pytest.mark.parametrize("x", [x for x in range(1, 21) if x != 10])
 def test_px_refinement_matches_corner_tables(x):
-    support = simple_piece_support(x)
+    support = simple_piece_row(x).support
     for m in range(1, 7):
         table = corner_table(support, m).entries
         for i in range(1, 2 * m):
@@ -247,7 +246,7 @@ def test_product_identity_examples():
 
 
 def test_fibonacci_family():
-    assert fibonacci_family(1) == 3 == count_bruteforce(Support.parse("A1,B1,C1"), 1)
-    assert fibonacci_family(2) == 5
-    assert fibonacci_family(4) == 13
-    assert fibonacci_family(8) == fibonacci(11)
+    # {A1,B1,C1} counts F(n+3).
+    family = Support.parse("A1,B1,C1")
+    assert count_bruteforce(family, 1) == 3
+    assert count_prefix(family, 8) == [fibonacci(n + 3) for n in range(1, 9)]

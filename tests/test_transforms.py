@@ -1,13 +1,12 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from stdpuzzle.counting import count_bruteforce, count_prefix
 from stdpuzzle.pieces import (PIECES, Puzzle, Support, minimal_support,
                               pieces_of)
-from stdpuzzle.transforms import (F1, F2, F3, SYMMETRIES, check_invariance, f1,
-                                  f2, f3, f12, f123, map_mask, t1, t2, t3)
+from stdpuzzle.transforms import (F1, F2, F3, SYMMETRIES, f1, f2, f3, f12, f123,
+                                  map_mask, t1, t2, t3)
 
 
 def puzzles(max_n=4):
@@ -88,18 +87,19 @@ def test_support_level_consistency(p):
     assert minimal_support(t3(p)) == f3(minimal_support(p))
 
 
+def counts_alike(support, n, fmap):
+    """Whether a support and its image under fmap count alike, each
+    enumerated on its own by the brute force."""
+    return count_bruteforce(support, n) == count_bruteforce(fmap(support), n)
+
+
 def test_check_invariance_examples():
-    assert check_invariance(Support.parse("A1,A2"), 2, f2)
+    assert counts_alike(Support.parse("A1,A2"), 2, f2)
     assert count_bruteforce(Support.parse("A1,A2"), 2) == 8
-    assert check_invariance(Support.parse("A2,A3"), 3, f1)
+    assert counts_alike(Support.parse("A2,A3"), 3, f1)
     assert count_bruteforce(Support.parse("A2,A3"), 3) == 14
-    assert check_invariance(Support.parse(""), 2, f3)
-    assert check_invariance(Support.parse("A1,B2,C3"), 3, f123)
-
-
-def test_check_invariance_bound():
-    with pytest.raises(ValueError):
-        check_invariance(Support.parse("A1"), 5, f1)
+    assert counts_alike(Support.parse(""), 2, f3)
+    assert counts_alike(Support.parse("A1,B2,C3"), 3, f123)
 
 
 def test_invariance_on_random_supports():
@@ -107,7 +107,7 @@ def test_invariance_on_random_supports():
     for _ in range(12):
         support = Support(frozenset(rng.sample(PIECES, rng.randrange(0, 25))))
         for fmap in (f1, f2, f3):
-            assert check_invariance(support, 3, fmap)
+            assert counts_alike(support, 3, fmap)
 
 
 def test_invariance_via_dp_beyond_brute_bound():
