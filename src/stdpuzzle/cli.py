@@ -88,9 +88,9 @@ def _write_csv(rows, out=None) -> None:
         writer.writerow(row)
 
 
-def _emit(args, payload, csv_rows=None) -> None:
-    """Print a payload as JSON, or as CSV when rows are tabular."""
-    if args.format == "csv" and csv_rows is not None:
+def _emit(args, payload, csv_rows) -> None:
+    """Print a payload as JSON, or its rows as CSV under --format csv."""
+    if args.format == "csv":
         _write_csv(csv_rows)
     else:
         json.dump(payload, sys.stdout, indent=2)
@@ -140,7 +140,7 @@ def cmd_skeleton(args) -> int:
         payload["dot"] = args.dot
     else:
         payload["dot_text"] = dot
-    _emit(args, payload)
+    _emit(args, payload, csv_rows=[payload])
     return 0
 
 
@@ -247,11 +247,8 @@ def cmd_compose(args) -> int:
         check = count_dp(theorems.compose_support(query), args.n)
         payload["engine_count"] = str(check)
         payload["verified"] = check == value
-        if not payload["verified"]:
-            _emit(args, payload)
-            return 1
     _emit(args, payload, csv_rows=[payload])
-    return 0
+    return 0 if payload.get("verified", True) else 1
 
 
 def cmd_verify(args) -> int:

@@ -9,16 +9,18 @@ is a cover, with no corner between its ends.  On four vertices this is
 the same as being acyclic with any two directed paths between the same
 pair of vertices of equal length.  An edge u -> v asserts label(v) >
 label(u).  The pieces whose grids extend the skeleton's partial order
-form a "simple piece"; skeletons are classified 1..4 by the orientation
-of the two column relations; the 80 simple pieces come from the orders,
-among the 219 on the corners, that relate both columns.  Concatenating
-a basic skeleton across a 2x(n+1) grid gives the puzzle's order poset,
+form a "simple piece", and the order is the relations they share.  A
+skeleton's class 1..4 is the category A..D all its pieces share, which
+they do exactly when the order relates both columns (two unrelated
+corners come in both orders among its extensions); the 80 simple pieces
+come from those orders among the 219 on the corners.  Concatenating a
+basic skeleton across a 2x(n+1) grid gives the puzzle's order poset,
 whose linear extensions are exactly the supported puzzles.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 
 from .pieces import PIECES, Support
@@ -50,82 +52,79 @@ class SkeletonGraph(_SkeletonFields):
                 raise ValueError(f"edge ({u!r}, {v!r}) leaves the vertex set")
         return super().__new__(cls, vertices, edges)
 
-    def closure(self) -> frozenset:
-        """Transitive closure as a set of ordered pairs (via nonempty paths)."""
-        reach = set(self.edges)
-        for w in self.vertices:  # Warshall: allow w as an inner vertex
-            into = [u for u, x in reach if x == w]
-            out = [v for x, v in reach if x == w]
-            reach.update((u, v) for u in into for v in out)
-        return frozenset(reach)
-
 
 def basic_skeleton(edges) -> SkeletonGraph:
     """A skeleton candidate on the four canonical corner vertices."""
     return SkeletonGraph(BASIC_VERTICES, frozenset(edges))
 
 
-def _covers(order, vertices) -> frozenset:
-    """The pairs (u, v) of a relation with no w such that u < w < v.  On a
-    cycle, u < u, so no pair on a cycle is a cover."""
+#: The 12 ordered pairs of distinct corners.
+_PAIRS = tuple((u, v) for u in BASIC_VERTICES for v in BASIC_VERTICES if u != v)
+
+
+def _piece_order(p) -> frozenset:
+    """The corner pairs (u, v) with label(u) < label(v) in piece p."""
+    label = dict(zip(BASIC_VERTICES, (p.tl, p.bl, p.tr, p.br)))
+    return frozenset((u, v) for u, v in _PAIRS if label[u] < label[v])
+
+
+#: Each piece's linear order of the corners; every linear order is one piece.
+_PIECE_ORDERS = {p: _piece_order(p) for p in PIECES}
+
+
+def _extending_pieces(order) -> Support:
+    """The pieces whose corner order contains every pair of `order`."""
+    return Support(p for p in PIECES if _PIECE_ORDERS[p] >= order)
+
+
+def _shared_order(support: Support) -> frozenset:
+    """The corner pairs all the support's pieces order alike (all 12 if none)."""
+    return frozenset(_PAIRS).intersection(*(_PIECE_ORDERS[p] for p in support))
+
+
+def _covers(order) -> frozenset:
+    """The pairs (u, v) of a corner relation with no w such that u < w < v.
+    The relation of all 12 pairs, which no piece extends, has none."""
     return frozenset((u, v) for u, v in order
                      if not any((u, w) in order and (w, v) in order
-                                for w in vertices))
+                                for w in BASIC_VERTICES))
+
+
+def _class(support: Support):
+    """1..4 for the category A..D all the support's pieces share, else None."""
+    categories = {p.category for p in support}
+    return "ABCD".index(categories.pop()) + 1 if len(categories) == 1 else None
 
 
 def validate_basic(g: SkeletonGraph) -> bool:
     """Acyclic, and all directed paths between any vertex pair share a length.
 
-    On four vertices this holds exactly when every edge is a cover of the
-    closure, i.e. g is the Hasse diagram of a strict partial order.
+    On four vertices this holds exactly when g is the Hasse diagram of a
+    strict partial order.  Every linear order of the corners is a piece,
+    so the relations shared by the pieces extending an acyclic g are its
+    transitive closure; a cyclic g has no extending piece.
     """
-    if len(g.vertices) != 4:
-        raise ValueError("a basic skeleton has exactly four vertices")
-    return g.edges == _covers(g.closure(), g.vertices)
-
-
-def _order_class(order):
-    left_up = ("b", "a") in order     # bottom-left below top-left
-    left_down = ("a", "b") in order
-    right_up = ("d", "c") in order
-    right_down = ("c", "d") in order
-    if left_up and right_up:
-        return 1
-    if left_up and right_down:
-        return 2
-    if left_down and right_up:
-        return 3
-    if left_down and right_down:
-        return 4
-    return None
-
-
-def _extending_pieces(order) -> Support:
-    members = set()
-    for p in PIECES:
-        val = {"a": p.tl, "b": p.bl, "c": p.tr, "d": p.br}
-        if all(val[v] > val[u] for u, v in order):
-            members.add(p)
-    return Support(frozenset(members))
+    if len(g.vertices) != 4 or set(g.vertices) != set(BASIC_VERTICES):
+        raise ValueError("a basic skeleton has exactly the four corner "
+                         "vertices a, b, c, d")
+    return g.edges == _covers(_shared_order(_extending_pieces(g.edges)))
 
 
 def classify(g: SkeletonGraph):
-    """Class 1..4 from the orientation of the a-b and c-d relations, else None."""
-    if not validate_basic(g):
-        raise ValueError("not a valid basic skeleton")
-    return _order_class(g.closure())
+    """Class 1..4 from the category the skeleton's pieces share, else None."""
+    return _class(simple_piece(g))
 
 
 def simple_piece(g: SkeletonGraph) -> Support:
     """The pieces whose corner values extend the skeleton's partial order."""
     if not validate_basic(g):
         raise ValueError("not a valid basic skeleton")
-    return _extending_pieces(g.closure())
+    return _extending_pieces(g.edges)
 
 
-@lru_cache(maxsize=None)
-def _skeletons_by_class() -> dict:
-    """class -> {simple piece support: generating basic skeleton}.
+@cache
+def _skeletons() -> dict:
+    """{support: generating basic skeleton} for the 80 simple pieces.
 
     The transitive relations on the 12 ordered corner pairs are the 219
     strict partial orders on the corners (A001035): one holding (u, v) and
@@ -133,33 +132,30 @@ def _skeletons_by_class() -> dict:
     orders have distinct sets of linear extensions, hence distinct
     supports, and each order's skeleton is its Hasse diagram.
     """
-    pairs = [(u, v) for u in BASIC_VERTICES for v in BASIC_VERTICES if u != v]
-    by_class: dict = {1: {}, 2: {}, 3: {}, 4: {}}
-    for bits in range(1 << len(pairs)):
-        order = frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
+    table = {}
+    for bits in range(1 << len(_PAIRS)):
+        order = frozenset(e for i, e in enumerate(_PAIRS) if bits >> i & 1)
         if not all((u, w) in order for u, v in order for x, w in order if v == x):
             continue
-        cls = _order_class(order)
-        if cls is not None:
-            hasse = basic_skeleton(_covers(order, BASIC_VERTICES))
-            by_class[cls][_extending_pieces(order)] = hasse
-    return by_class
+        support = _extending_pieces(order)
+        if _class(support) is not None:
+            table[support] = basic_skeleton(_covers(order))
+    return table
 
 
 def all_simple_pieces(class_i: int) -> list[Support]:
     """The distinct i-simple pieces, in canonical support order."""
     if class_i not in (1, 2, 3, 4):
         raise ValueError("class must be 1..4")
-    return sorted(_skeletons_by_class()[class_i], key=lambda s: str(s))
+    return sorted((s for s in _skeletons() if _class(s) == class_i), key=str)
 
 
 def generating_skeleton(support: Support) -> SkeletonGraph:
     """The basic skeleton whose simple piece equals the given support."""
-    for cls in (1, 2, 3, 4):
-        got = _skeletons_by_class()[cls].get(support)
-        if got is not None:
-            return got
-    raise ValueError(f"no generating basic skeleton for {support}")
+    got = _skeletons().get(support)
+    if got is None:
+        raise ValueError(f"no generating basic skeleton for {support}")
+    return got
 
 
 def puzzle_skeleton(support: Support, n: int) -> SkeletonGraph:
@@ -200,19 +196,13 @@ def count_linear_extensions(g: SkeletonGraph) -> int:
     for u, v in g.edges:
         preds[index[v]] |= 1 << index[u]
     full = (1 << n) - 1
-    memo = {full: 1}
 
+    @cache
     def rec(placed: int) -> int:
-        got = memo.get(placed)
-        if got is not None:
-            return got
-        total = 0
-        for i in range(n):
-            bit = 1 << i
-            if not placed & bit and preds[i] & ~placed == 0:
-                total += rec(placed | bit)
-        memo[placed] = total
-        return total
+        if placed == full:
+            return 1
+        return sum(rec(placed | 1 << i) for i in range(n)
+                   if not placed >> i & 1 and preds[i] & ~placed == 0)
 
     return rec(0)
 

@@ -172,6 +172,27 @@ def test_skeleton_dot_stdout(capsys):
     assert code == 0 and out.startswith("digraph")
 
 
+def test_skeleton_csv(capsys):
+    code, out, _ = run(capsys, "--format", "csv", "skeleton", "--support", "A2,A3",
+                       "--n", "1")
+    assert code == 0
+    assert out.splitlines()[0] == "support,n,vertices,edges,dot_text"
+    [row] = csv.DictReader(io.StringIO(out))
+    assert row["support"] == "A2,A3" and row["dot_text"].startswith("digraph")
+
+
+def test_compose_verify_failure_csv(capsys, monkeypatch):
+    from stdpuzzle import theorems
+    true_compose = theorems.compose
+    monkeypatch.setattr(theorems, "compose", lambda query: true_compose(query) + 1)
+    code, out, _ = run(capsys, "--format", "csv", "compose", "--x", "4", "--y", "1",
+                       "--z", "4", "--n", "3", "--verify")
+    assert code == 1
+    [row] = csv.DictReader(io.StringIO(out))
+    assert row["verified"] == "False"
+    assert int(row["value"]) == int(row["engine_count"]) + 1
+
+
 def test_verify_single_claim(capsys):
     code, out, err = run(capsys, "verify", "--claim", "catalan", "--nmax", "3")
     assert code == 0
@@ -565,6 +586,12 @@ def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
     except SystemExit as exc:  # an argparse usage error
         code = exc.code
     assert code == 0, capsys.readouterr().err
+
+
+def test_readme_library_tour_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Library tour)", "exec"), {})
 
 
 def test_empty_csv_table_prints_nothing(capsys):

@@ -20,9 +20,9 @@ def test_validate_examples():
     assert not validate_basic(basic_skeleton({("b", "a"), ("a", "c"), ("b", "c")}))
 
 
-def path_lengths_agree(edges):
-    """The path-length definition: acyclic, and all directed paths between
-    any two vertices have one length (walked out in full)."""
+def path_lengths(edges):
+    """{(u, v): the lengths of the directed paths from u to v}, walked out
+    in full, or None when the edges hold a cycle."""
     succ = {v: [y for x, y in edges if x == v] for v in "abcd"}
     lengths = {}
 
@@ -36,8 +36,15 @@ def path_lengths_agree(edges):
         return True
 
     if not all(walk(v, v, 0, {v}) for v in "abcd"):
-        return False
-    return all(len(found) == 1 for found in lengths.values())
+        return None
+    return lengths
+
+
+def path_lengths_agree(edges):
+    """The path-length definition: acyclic, and all directed paths between
+    any two vertices have one length."""
+    lengths = path_lengths(edges)
+    return lengths is not None and all(len(found) == 1 for found in lengths.values())
 
 
 def test_validate_matches_path_length_definition():
@@ -52,11 +59,23 @@ def test_validate_matches_path_length_definition():
             valid.append(g)
     assert len(valid) == 219
     assert sum(classify(g) is not None for g in valid) == 80
+    # The class read from the walk alone: the orientation of the two
+    # column relations, 1..4 as (b, a) or (a, b) meets (d, c) or (c, d).
+    for g in valid:
+        reach = path_lengths(g.edges)  # keyed by the reachable pairs
+        left = [("b", "a") in reach, ("a", "b") in reach]
+        right = [("d", "c") in reach, ("c", "d") in reach]
+        expected = None
+        if any(left) and any(right):
+            expected = 1 + 2 * left.index(True) + right.index(True)
+        assert classify(g) == expected, sorted(g.edges)
 
 
 def test_validate_needs_four_vertices():
     with pytest.raises(ValueError):
         validate_basic(SkeletonGraph(("a", "b"), frozenset({("a", "b")})))
+    with pytest.raises(ValueError, match="corner vertices"):
+        validate_basic(SkeletonGraph(tuple("wxyz"), frozenset({("w", "x")})))
 
 
 def test_self_loop_rejected():
