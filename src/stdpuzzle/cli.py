@@ -55,9 +55,11 @@ SKELETON_N_BOUND = 10000
 # str() of an int is quadratic in its length.
 SEQ_UPTO_BOUND = 2000
 
-# Largest `theorem --n`.  At 2000 every id answers cold in about 0.15 s
-# with at most 12 KB of output; at 100000 several ids run for longer
-# than 5 s.
+# Largest `theorem --n`.  At 2000 every id that answers does so cold in
+# about 0.15 s with at most 12 KB of output; at 100000 several ids run
+# for longer than 5 s.  The ceiling does not promise an answer: `a12345b`
+# and `simple_piece` 8 and 9 stop at n = 499 (the `secant` reach), and
+# `simple_piece` 10 at n = 11 (the `lattice_L` reach); past those they exit 2.
 THEOREM_N_BOUND = 2000
 
 
@@ -183,31 +185,21 @@ def cmd_enumerate(args) -> int:
 
 def cmd_seq(args) -> int:
     from .sequences import REGISTRY
-    generators = {seq.name: seq.generator for seq in REGISTRY}
-    if args.name not in generators:
+    rows = {seq.name: seq for seq in REGISTRY}
+    if args.name not in rows:
         raise ValueError(f"unknown sequence {args.name!r}; "
-                         f"choose from {', '.join(sorted(generators))}")
+                         f"choose from {', '.join(sorted(rows))}")
     _check_ceiling("--upto", args.upto, SEQ_UPTO_BOUND)
-    fn = generators[args.name]
-    if args.start is None:  # 0, or 1 for a generator that rejects 0
-        args.start = 0
-        try:
-            fn(0)
-        except ValueError:
-            args.start = 1
-    if args.start < 0:
-        raise ValueError(f"--start {args.start} is below the floor 0")
-    if args.start > args.upto:
-        raise ValueError(f"--start {args.start} exceeds --upto {args.upto}")
-    # The last term first, so a term past its generator's reach fails at
-    # once; then the rest in ascending order, in which a triangle's cached
-    # row extends instead of being rebuilt from row 0 for each term.
-    try:
-        last = str(fn(args.upto))
-        values = [str(fn(k)) for k in range(args.start, args.upto)] + [last]
-    except ValueError as exc:
-        raise ValueError(f"seq {args.name} (--start {args.start}, "
-                         f"--upto {args.upto}): {exc}") from exc
+    seq = rows[args.name]
+    if args.start is None:
+        args.start = seq.first
+    last = args.upto if seq.last is None else seq.last
+    if not seq.first <= args.start <= args.upto <= last:
+        bound = "" if seq.last is None else f" <= {last}"
+        raise ValueError(f"seq {seq.name} takes {seq.first} <= --start <= --upto{bound}, "
+                         f"got --start {args.start}, --upto {args.upto}")
+    # Ascending, so a triangle's cached row extends instead of being rebuilt.
+    values = [str(seq.generator(k)) for k in range(args.start, args.upto + 1)]
     payload = {"name": args.name, "start": args.start, "upto": args.upto,
                "values": values}
     _emit(args, payload, csv_rows=[{"k": k, "value": v} for k, v in

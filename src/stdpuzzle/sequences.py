@@ -3,7 +3,8 @@
 Everything here is independent of the puzzle engines: these are the
 reference values the counting results get checked against.  Conventions at
 the boundary indices follow the combinatorial definitions: (-1)!! = 0!! = 1,
-T(n,0) = 0, t(n,n+1) = 0.  A generator raises ValueError outside its reach.
+T(n,0) = 0, t(n,n+1) = 0.  A generator raises ValueError outside its reach;
+each REGISTRY row states its generator's domain as `first`..`last`.
 
 registry_matches is one lookup in a table of every REGISTRY window of
 length m (shifted by MATCH_OFFSETS, scaled by MATCH_FACTORS where that
@@ -12,7 +13,7 @@ at MATCH_HEAD.  `_match_table(m)` is built once per m and asks each
 generator only for terms 1..m + max(MATCH_OFFSETS).  A longer prefix is
 looked up by its first MATCH_HEAD terms, and only the hits that survive
 have their later terms checked, against generator values memoised per
-(sequence, index); a window past its generator's reach is no match.  So
+(sequence, index); a window past its row's `last` is no match.  So
 a term such as lattice_L(12) is evaluated only while some prefix still
 matches the lattice numbers, and a prefix of at most MATCH_HEAD terms
 costs one dict lookup.
@@ -234,21 +235,24 @@ def multinomial_all_pairs(m: int) -> int:
 
 
 class SequenceId(NamedTuple):
-    """A named reference sequence; its generator raises ValueError past its reach."""
+    """A named reference sequence, defined at indices first..last (no end
+    when last is None); its generator raises ValueError outside them."""
 
     name: str
     oeis: Optional[str]
     generator: Callable[[int], int]
+    first: int = 0
+    last: Optional[int] = None
 
 
 REGISTRY: tuple[SequenceId, ...] = (
     SequenceId("catalan", "A000108", catalan),
     SequenceId("double_factorial_odd", "A001147", lambda k: double_factorial(2 * k - 1)),
     SequenceId("double_factorial_even", "A000165", lambda k: double_factorial(2 * k)),
-    SequenceId("secant", "A000364", secant),
+    SequenceId("secant", "A000364", secant, 0, SECANT_BOUND),
     SequenceId("fibonacci", "A000045", fibonacci),
-    SequenceId("lattice_smooth_paths", "A227656", lattice_L),
-    SequenceId("whirlpool", "A261683", whirlpool_W),
+    SequenceId("lattice_smooth_paths", "A227656", lattice_L, 1, LATTICE_BOUND),
+    SequenceId("whirlpool", "A261683", whirlpool_W, 1, WHIRLPOOL_BOUND),
     SequenceId("ordered_pair_arrangements", "A000680", multinomial_all_pairs),
     SequenceId("all_ones", "A000012", lambda k: 1),
     SequenceId("naturals", "A000027", lambda k: k),
@@ -263,17 +267,16 @@ MATCH_OFFSETS = (0, 1, 2, 3)
 #: Prefix terms the match table is keyed on; later terms are checked per hit.
 MATCH_HEAD = 4
 
-_TERMS: dict[tuple[str, int], Optional[int]] = {}
+_TERMS: dict[tuple[str, int], int] = {}
 
 
 def _term(seq: SequenceId, i: int) -> Optional[int]:
-    """seq's term at index i, or None past the generator's reach; memoised."""
+    """seq's term at index i, or None past seq.last; memoised."""
+    if seq.last is not None and i > seq.last:
+        return None
     key = (seq.name, i)
     if key not in _TERMS:
-        try:
-            _TERMS[key] = seq.generator(i)
-        except ValueError:
-            _TERMS[key] = None
+        _TERMS[key] = seq.generator(i)
     return _TERMS[key]
 
 

@@ -273,11 +273,6 @@ def a12345_plus_b(i: int, n: int) -> int:
                for t in range(1, 2 * n - 1)) + secant(n + 1)
 
 
-#: Families the composite f1 o f2 o f3 fixes, whose `converter_image`
-#: maps the converter-images claim checks.
-CONVERTER_FAMILIES = ("A2,A3", "A2", "A1,A2,A3,A4,A5")
-
-
 def converter_image(family: Support, i: int) -> int:
     """Send family + C_i through f1 o f2 o f3 and read off the B index.
 

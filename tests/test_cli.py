@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from stdpuzzle import FULL_SUPPORT
-from stdpuzzle import cli
+from stdpuzzle import cli, sequences
 from stdpuzzle.cli import main
 from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import sweep
@@ -127,17 +127,28 @@ def test_seq_prints_counts_past_the_str_digit_limit(capsys):
 
 def test_seq_reads_registry(capsys):
     for seq in REGISTRY:
-        try:
-            expected = [str(seq.generator(k)) for k in range(1, 7)]
-        except ValueError:  # past the generator's reach: a usage error
-            expected = None
         code, out, err = run(capsys, "seq", "--name", seq.name, "--start", "1",
                              "--upto", "6")
-        if expected is None:
+        if seq.last is not None and seq.last < 6:  # past the row's last: a usage error
             assert code == 2 and out == "" and "error" in err, seq.name
         else:
             assert code == 0, seq.name
-            assert json.loads(out)["values"] == expected, seq.name
+            assert json.loads(out)["values"] == [str(seq.generator(k))
+                                                 for k in range(1, 7)], seq.name
+
+
+def test_seq_builds_each_entringer_row_once(capsys, monkeypatch):
+    step, calls = sequences._entringer_step, []
+
+    def counted(prev, n):
+        calls.append(n)
+        return step(prev, n)
+
+    monkeypatch.setattr(sequences, "_entringer_step", counted)
+    monkeypatch.setattr(sequences, "_ROWS", {})
+    code, _, _ = run(capsys, "seq", "--name", "secant", "--upto", "500")
+    assert code == 0
+    assert len(calls) <= 1000
 
 
 def test_theorem_aliases(capsys):
@@ -335,14 +346,17 @@ def test_usage_errors_exit_2(capsys):
     for name in ("nonsense", "lattice", "multinomial_pairs", "double_factorial"):
         code, _, err = run(capsys, "seq", "--name", name, "--upto", "3")
         assert code == 2 and f"unknown sequence {name!r}" in err
+    # a start past --upto, a start below the sequence's first index and an
+    # --upto past its last index are one usage error naming the domain
     assert run(capsys, "seq", "--name", "catalan", "--start", "5", "--upto", "2") \
-        == (2, "", "error: --start 5 exceeds --upto 2\n")
+        == (2, "", "error: seq catalan takes 0 <= --start <= --upto, "
+                   "got --start 5, --upto 2\n")
     assert run(capsys, "seq", "--name", "naturals", "--start", "-3", "--upto", "2") \
-        == (2, "", "error: --start -3 is below the floor 0\n")
-    # an explicit start outside the domain is the generator's error,
-    # prefixed with the command's options
+        == (2, "", "error: seq naturals takes 0 <= --start <= --upto, "
+                   "got --start -3, --upto 2\n")
     assert run(capsys, "seq", "--name", "whirlpool", "--start", "0", "--upto", "3") \
-        == (2, "", "error: seq whirlpool (--start 0, --upto 3): whirlpool_W needs n >= 1\n")
+        == (2, "", "error: seq whirlpool takes 1 <= --start <= --upto <= 5, "
+                   "got --start 0, --upto 3\n")
     # a retired theorem id: F(n+3) is `seq --name fibonacci --start N+3 --upto N+3`
     assert run(capsys, "theorem", "--id", "fibonacci", "--i", "99", "--n", "3") \
         == (2, "", "error: unknown theorem id 'fibonacci'\n")
@@ -515,7 +529,7 @@ def test_cold_commands_do_not_import_dataclasses():
     (["seq", "--name", "catalan", "--upto", "2001"],
      "error: --upto 2001 exceeds the ceiling 2000\n"),
     (["seq", "--name", "secant", "--upto", "501"],
-     "error: seq secant (--start 0, --upto 501): secant index 501 out of range 0..500\n"),
+     "error: seq secant takes 0 <= --start <= --upto <= 500, got --start 0, --upto 501\n"),
     (["theorem", "--id", "a12345b", "--n", "2000"],
      "error: theorem a12345b (--i 1, --n 2000): "
      "E(3998,1) out of range 0 <= k <= n <= 1000\n"),

@@ -158,7 +158,8 @@ def test_value_classes_compare_and_hash_by_fields():
          "SimplePieceRow(x=2, support=Support.parse('A3'), sequence='1', "
          "count=<built-in function abs>, refinement=None)"),
         (lambda: SequenceId("catalan", "A000108", abs), "name",
-         "SequenceId(name='catalan', oeis='A000108', generator=<built-in function abs>)"),
+         "SequenceId(name='catalan', oeis='A000108', generator=<built-in function abs>, "
+         "first=0, last=None)"),
         (lambda: SkeletonGraph(("a", "b"), [("a", "b")]), "edges",
          "SkeletonGraph(vertices=('a', 'b'), edges=frozenset({('a', 'b')}))"),
         (lambda: CompositionQuery(4, 2, 9, 3), "n",

@@ -225,6 +225,21 @@ def test_cached_triangles_rebuild_an_earlier_row(triangle, closed):
         assert row == [closed(n, k) for k in range(1, n + 1)]
 
 
+def test_registry_rows_state_their_generators_domain():
+    for seq in REGISTRY:
+        seq.generator(seq.first)
+        if seq.first > 0:
+            with pytest.raises(ValueError):
+                seq.generator(seq.first - 1)
+        if seq.last is not None:
+            seq.generator(seq.last)
+            with pytest.raises(ValueError):
+                seq.generator(seq.last + 1)
+    assert {seq.name: (seq.first, seq.last) for seq in REGISTRY
+            if (seq.first, seq.last) != (0, None)} == {
+        "secant": (0, 500), "lattice_smooth_paths": (1, 12), "whirlpool": (1, 5)}
+
+
 def test_registry_matches_catalan():
     prefix = [2, 5, 14, 42, 132, 429]
     hits = registry_matches(prefix)

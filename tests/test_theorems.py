@@ -117,8 +117,7 @@ def test_converter_image_map():
         converter_image(Support.parse("A1,A2,A3"), 1)
     with pytest.raises(ValueError, match="already holds C1"):
         converter_image(Support.parse("B4,C1"), 1)  # fixed, but holds C1
-    # Every simple family the composite map fixes has a converter image,
-    # not only the three the converter-images claim lists.
+    # Every simple family the composite map fixes has a converter image.
     for x in (1, 2, 3, 8, 9, 10, 17, 18, 19, 20):
         family = simple_piece_row(x).support
         for i in range(1, 7):
