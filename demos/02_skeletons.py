@@ -4,13 +4,15 @@ A basic skeleton places order relations on the four corners of a window
 (a = top-left, b = bottom-left, c = top-right, d = bottom-right); the
 pieces consistent with it form a "simple piece".  Concatenating the
 skeleton across the grid turns counting puzzles into counting linear
-extensions of a poset.
+extensions of a poset, counted by a walk over its order ideals.
 """
 
 from stdpuzzle import (Support, all_simple_pieces, basic_skeleton, classify,
                        count_bruteforce, count_linear_extensions, export_dot,
                        puzzle_skeleton, simple_piece)
-from stdpuzzle.skeleton import drawn_edge_count, generating_skeleton
+from stdpuzzle.sequences import lattice_L
+from stdpuzzle.skeleton import (IDEAL_BUDGET, drawn_edge_count,
+                                generating_skeleton)
 
 fig = basic_skeleton({("b", "a"), ("d", "c"), ("b", "c")})
 print("Skeleton with both columns rising and bottom-left under top-right:")
@@ -40,6 +42,14 @@ for n in (1, 2, 3, 4):
     le = count_linear_extensions(poset)
     bf = count_bruteforce(support, n)
     print(f"  n={n}: {le} extensions, {bf} enumerated puzzles")
+
+# Family 10 counts smooth lattice paths.  At n = 11 its skeleton has 24
+# vertices but fewer order ideals than the budget.
+lattice = Support.parse("A1,A2,A4,A5")
+print()
+print(f"{lattice} at n=11 (at most {IDEAL_BUDGET} order ideals):")
+print(f"  {count_linear_extensions(puzzle_skeleton(lattice, 11))} extensions, "
+      f"lattice_L(12) = {lattice_L(12)}")
 
 print()
 print("Concatenated skeleton for n=3 (generating skeleton:",

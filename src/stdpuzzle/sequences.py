@@ -187,30 +187,6 @@ def lattice_L(n: int) -> int:
     return ways((2,) * n)
 
 
-def count_permutations(size: int, ok: Callable[[list[int]], bool]) -> int:
-    """Permutations of 1..size all of whose prefixes pass ok, counted by
-    pruned backtracking; ok sees each prefix right after its last entry
-    is placed."""
-    used = [False] * (size + 1)
-    prefix: list[int] = []
-
-    def rec() -> int:
-        if len(prefix) == size:
-            return 1
-        total = 0
-        for v in range(1, size + 1):
-            if not used[v]:
-                used[v] = True
-                prefix.append(v)
-                if ok(prefix):
-                    total += rec()
-                prefix.pop()
-                used[v] = False
-        return total
-
-    return rec()
-
-
 def whirlpool_W(n: int) -> int:
     """Permutations p of 1..2n with p[2k-1] < p[2k]  iff  p[2k] < p[2k+1].
     rise[j] / fall[j] count prefixes whose last entry ranks j+1 among those

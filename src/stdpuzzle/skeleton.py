@@ -20,6 +20,7 @@ whose linear extensions are exactly the supported puzzles.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cache
 from typing import NamedTuple
 
@@ -27,8 +28,9 @@ from .pieces import PIECES, Support
 
 BASIC_VERTICES = ("a", "b", "c", "d")
 
-#: Most vertices count_linear_extensions accepts (its memo has up to 2^n ideals).
-EXTENSION_BOUND = 16
+#: Most order ideals count_linear_extensions visits: every graph on at most
+#: 16 vertices, and long sparse ones such as puzzle skeletons at large n.
+IDEAL_BUDGET = 1 << 16
 
 
 class _SkeletonFields(NamedTuple):
@@ -45,6 +47,9 @@ class SkeletonGraph(_SkeletonFields):
         vertices = tuple(vertices)
         edges = frozenset(tuple(e) for e in edges)
         vs = set(vertices)
+        if len(vs) < len(vertices):
+            repeated = next(v for v, k in Counter(vertices).items() if k > 1)
+            raise ValueError(f"repeated vertex {repeated!r}")
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
@@ -186,25 +191,42 @@ def drawn_edge_count(support: Support) -> int:
 
 
 def count_linear_extensions(g: SkeletonGraph) -> int:
-    """Exact number of linear extensions, by DP over order ideals."""
+    """Exact number of linear extensions, by a walk over the order ideals.
+
+    Layer k maps each ideal of k vertices (a bitmask) to the number of
+    ways to place its vertices first, with the mask of its ready vertices:
+    those outside it whose predecessors all lie inside.  Each ideal grows
+    by one ready vertex; past IDEAL_BUDGET ideals the walk gives up.
+    """
     n = len(g.vertices)
-    if n > EXTENSION_BOUND:
-        raise ValueError(f"{n} vertices exceeds the extension-count bound "
-                         f"{EXTENSION_BOUND}")
     index = {v: i for i, v in enumerate(g.vertices)}
     preds = [0] * n
+    succs = [[] for _ in range(n)]
     for u, v in g.edges:
         preds[index[v]] |= 1 << index[u]
-    full = (1 << n) - 1
-
-    @cache
-    def rec(placed: int) -> int:
-        if placed == full:
-            return 1
-        return sum(rec(placed | 1 << i) for i in range(n)
-                   if not placed >> i & 1 and preds[i] & ~placed == 0)
-
-    return rec(0)
+        succs[index[u]].append(index[v])
+    layer = {0: [1, sum(1 << i for i, p in enumerate(preds) if not p)]}
+    visited = 1
+    for _ in range(n):
+        grown = {}
+        for ideal, (ways, ready) in layer.items():
+            rest = ready
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                bigger = ideal | bit
+                if bigger in grown:
+                    grown[bigger][0] += ways
+                    continue
+                visited += 1
+                if visited > IDEAL_BUDGET:
+                    raise ValueError(f"{n} vertices have more order "
+                                     f"ideals than the budget {IDEAL_BUDGET}")
+                freed = sum(1 << w for w in succs[bit.bit_length() - 1]
+                            if preds[w] & ~bigger == 0)
+                grown[bigger] = [ways, ready ^ bit | freed]
+        layer = grown
+    return sum(ways for ways, _ in layer.values())
 
 
 def export_dot(g: SkeletonGraph) -> str:

@@ -1,11 +1,13 @@
 """The verification suite: every published count the engine reproduces.
 
 Each claim recomputes one family of results two independent ways (closed
-form vs engine, engine vs engine, or formula vs exhaustive oracle) and
-reports pass/fail with both value vectors.  One claim is deliberately
-"flagged" rather than failing: the alternative Fibonacci offset that
-circulates for the {A1,B1,C1} family disagrees with enumeration, and the
-suite records that discrepancy instead of hiding it.
+form vs engine, engine vs engine, or formula vs an order count: the
+linear extensions of a small digraph, by the skeleton model's one
+counter skeleton.count_linear_extensions) and reports pass/fail with
+both value vectors.  One claim is deliberately "flagged" rather than
+failing: the alternative Fibonacci offset that circulates for the
+{A1,B1,C1} family disagrees with enumeration, and the suite records that
+discrepancy instead of hiding it.
 
 Each claim is one row of CLAIMS: its description, a check that builds
 the two vectors, and the cap on n its oracle reaches.  run_verification
@@ -25,10 +27,11 @@ from . import families, theorems
 from .counting import (corner_table, count_bruteforce, count_dp,
                        count_prefix)
 from .pieces import PIECES, Support, reduce_window
-from .sequences import (catalan, catalan_triangle_t, count_permutations,
-                        double_factorial, entringer, fibonacci, lattice_L,
-                        secant, triangle_T, whirlpool_W)
-from .skeleton import all_simple_pieces, drawn_edge_count
+from .sequences import (catalan, catalan_triangle_t, double_factorial,
+                        entringer, fibonacci, lattice_L, secant, triangle_T,
+                        whirlpool_W)
+from .skeleton import (SkeletonGraph, all_simple_pieces,
+                       count_linear_extensions, drawn_edge_count)
 from .transforms import f1, f2, f3, f123
 
 STATUS_PASS = "pass"
@@ -100,12 +103,9 @@ def _formula(cases, hi: int) -> tuple[list, list]:
     return computed, expected
 
 
-def _count_down_up(length: int) -> int:
-    """Brute-force count of permutations of 1..length with pattern
-    down, up, down, ... (pruned backtracking; no recurrences)."""
-    # The comparison that ends at position j >= 2 rises exactly when j is odd.
-    return count_permutations(length, lambda p: len(p) == 1
-                              or len(p) % 2 == (p[-2] < p[-1]))
+def _chain(vertices) -> set:
+    """The edges v1 -> v2 -> ... asserting v1 < v2 < ..."""
+    return set(zip(vertices, vertices[1:]))
 
 
 def _pieces(hi: int) -> tuple[list, list]:
@@ -121,9 +121,11 @@ def _pieces(hi: int) -> tuple[list, list]:
 def _secant(hi: int) -> tuple[list, list]:
     computed = count_prefix(Support.parse("A1,A2,A3,A4,A5"), hi)
     expected = [secant(n + 1) for n in range(1, hi + 1)]
-    # Independent confirmation of the secant values themselves.
+    # Independent confirmation of the secant values themselves: they count
+    # the down-up permutations of 1..2k, the extensions of p1 > p2 < p3 > ...
     for k in range(1, min(hi + 1, 5) + 1):
-        computed.append(_count_down_up(2 * k))
+        zigzag = {(j + 1, j) if j % 2 == 0 else (j, j + 1) for j in range(2 * k - 1)}
+        computed.append(count_linear_extensions(SkeletonGraph(range(2 * k), zigzag)))
         expected.append(secant(k))
     return computed, expected
 
@@ -205,35 +207,27 @@ def _converter_images(hi: int) -> tuple[list, list]:
 
 
 def _q_lemma(hi: int) -> tuple[list, list]:
+    """q1..q3 count the interleavings of two chains a_1 < ... < a_2m and
+    b_1 < ... < b_2p whose a_i, a_(i+j), b_k, b_(k+l) fall in one order."""
     computed, expected = [], []
     for m in range(1, 4):
         for p in range(1, 5 - m):
+            a = [f"a{t}" for t in range(1, 2 * m + 1)]
+            b = [f"b{t}" for t in range(1, 2 * p + 1)]
+            chains = _chain(a) | _chain(b)
             for i in range(1, 2 * m):
                 for j in range(1, 2 * m - i + 1):
                     for k in range(1, 2 * p):
                         for l in range(1, 2 * p - k + 1):
-                            for which, fn in ((1, theorems.q1), (2, theorems.q2),
-                                              (3, theorems.q3)):
+                            ai, aij = a[i - 1], a[i + j - 1]
+                            bk, bkl = b[k - 1], b[k + l - 1]
+                            for fn, split in ((theorems.q1, (ai, bk, bkl, aij)),
+                                              (theorems.q2, (ai, bk, aij, bkl)),
+                                              (theorems.q3, (ai, aij, bk, bkl))):
                                 computed.append(fn(i, j, k, l, m, p))
-                                expected.append(
-                                    _q_oracle(which, i, j, k, l, m, p))
+                                expected.append(count_linear_extensions(
+                                    SkeletonGraph(a + b, chains | _chain(split))))
     return computed, expected
-
-
-def _q_oracle(which, i, j, k, l, m, p) -> int:
-    total = 2 * m + 2 * p
-    cnt = 0
-    for a_part in combinations(range(1, total + 1), 2 * m):
-        b_part = [x for x in range(1, total + 1) if x not in a_part]
-        ai, aij = a_part[i - 1], a_part[i + j - 1]
-        bk, bkl = b_part[k - 1], b_part[k + l - 1]
-        if which == 1:
-            cnt += ai < bk < bkl < aij
-        elif which == 2:
-            cnt += ai < bk < aij < bkl
-        else:
-            cnt += ai < aij < bk < bkl
-    return cnt
 
 
 def _refinement_table(hi: int) -> tuple[list, list]:
@@ -367,7 +361,7 @@ CLAIMS = {
             (Support.parse("A1,A2,A3"), lambda n: double_factorial(2 * n + 1), 1),
             (Support.parse("A1,A2"), lambda n: double_factorial(2 * n), 1)]), cap=8),
     "secant": Claim("counts for {A1..A5} are the secant numbers (confirmed by "
-                    "brute-force down-up permutation counts)", _secant, cap=5),
+                    "linear extensions of the zigzag order)", _secant, cap=5),
     "lattice-paths": Claim(
         "counts for {A1,A2,A4,A5} are the smooth lattice-path numbers",
         partial(_formula, [(Support.parse("A1,A2,A4,A5"),
@@ -417,7 +411,7 @@ CLAIMS = {
         "2-converter families count like their mapped 1-converter families",
         _converter_images, cap=3),
     "q-partition-lemma": Claim(
-        "the three split-counting formulas match exhaustive partitioning",
+        "the three split-counting formulas match linear extensions of two chains",
         _q_lemma, span="m+p<=4"),
     "refinement-table": Claim("the per-family corner refinements match the DP tables",
                               _refinement_table, cap=3, span="m<={m}"),

@@ -221,6 +221,21 @@ def test_verify_secant_claim_values(capsys):
     assert claim["computed"][:3] == ["5", "61", "1385"]
 
 
+def test_verify_order_count_claims_keep_their_vectors(capsys):
+    # Both oracles count linear extensions; these are the vectors the
+    # permutation and partition enumerators gave before them.
+    code, out, _ = run(capsys, "verify", "--claim", "secant",
+                       "--claim", "q-partition-lemma", "--nmax", "5")
+    assert code == 0
+    secant, q_lemma = json.loads(out)["claims"]
+    assert (secant["status"], secant["n_range"]) == ("pass", "1..5")
+    assert secant["computed"] == secant["expected"] == \
+        ["5", "61", "1385", "50521", "2702765", "1", "5", "61", "1385", "50521"]
+    assert (q_lemma["status"], q_lemma["n_range"]) == ("pass", "m+p<=4")
+    assert q_lemma["computed"] == q_lemma["expected"]
+    assert (len(q_lemma["expected"]), sum(map(int, q_lemma["expected"]))) == (237, 1773)
+
+
 def test_verify_flagged_claim_is_not_failure(capsys):
     code, out, _ = run(capsys, "verify", "--claim", "fibonacci-alt-offset",
                        "--nmax", "3")

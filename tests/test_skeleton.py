@@ -1,12 +1,14 @@
 import pytest
 
-from stdpuzzle.counting import count_bruteforce, count_dp
+from stdpuzzle.counting import count_bruteforce, count_dp, count_prefix
 from stdpuzzle.pieces import Support
-from stdpuzzle.skeleton import (SkeletonGraph, all_simple_pieces,
-                                basic_skeleton, classify,
+from stdpuzzle.sequences import secant
+from stdpuzzle.skeleton import (IDEAL_BUDGET, SkeletonGraph,
+                                all_simple_pieces, basic_skeleton, classify,
                                 count_linear_extensions, drawn_edge_count,
                                 export_dot, generating_skeleton,
                                 puzzle_skeleton, simple_piece, validate_basic)
+from stdpuzzle.theorems import SIMPLE_PIECES
 
 # The five-piece increasing family comes from this skeleton: both columns
 # rise, and the bottom-left sits under the top-right.
@@ -81,6 +83,12 @@ def test_validate_needs_four_vertices():
 def test_self_loop_rejected():
     with pytest.raises(ValueError):
         basic_skeleton({("a", "a")})
+
+
+def test_repeated_vertex_rejected():
+    # Counted as given, a twice-listed "a" under the order a < b gave 3.
+    with pytest.raises(ValueError, match="repeated vertex 'a'"):
+        SkeletonGraph(("a", "a", "b"), {("a", "b")})
 
 
 def test_classify_examples():
@@ -168,9 +176,24 @@ def test_linear_extensions_basics():
 
 
 def test_linear_extensions_bound():
+    # A 17-vertex antichain has 2^17 ideals; a long chain has one per layer.
     big = SkeletonGraph(tuple(range(17)), frozenset())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"budget {IDEAL_BUDGET}"):
         count_linear_extensions(big)
+    chain = SkeletonGraph(range(1000), {(i, i + 1) for i in range(999)})
+    assert count_linear_extensions(chain) == 1
+
+
+def test_zigzag_extensions_are_secant_numbers():
+    for k in range(1, 9):
+        zigzag = {(j + 1, j) if j % 2 == 0 else (j, j + 1) for j in range(2 * k - 1)}
+        assert count_linear_extensions(SkeletonGraph(range(2 * k), zigzag)) == secant(k)
+
+
+def test_skeleton_extensions_reach_every_family_at_n8():
+    for row in SIMPLE_PIECES:
+        assert count_linear_extensions(puzzle_skeleton(row.support, 8)) == \
+            count_prefix(row.support, 8)[-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
