@@ -44,7 +44,9 @@ for n in (1, 2, 3, 4):
     print(f"  n={n}: {le} extensions, {bf} enumerated puzzles")
 
 # Family 10 counts smooth lattice paths.  At n = 11 its skeleton has 24
-# vertices but fewer order ideals than the budget.
+# vertices but fewer order ideals than the budget.  Both numbers come from
+# the one walk over order ideals, over two orders built differently: the
+# puzzle skeleton, and lattice_L's order on the 24 steps of a lattice path.
 lattice = Support.parse("A1,A2,A4,A5")
 print()
 print(f"{lattice} at n=11 (at most {IDEAL_BUDGET} order ideals):")

@@ -159,7 +159,12 @@ def cmd_count(args) -> int:
         corners = {"bottom": count_corner_bottom, "top": count_corner_top}
         [x] = _ints("--corner", "bottom=X or top=X with an integer X", args.corner,
                     [rank] if where in corners else [], count=1)
-        value = corners[where](support, args.n, x)
+        try:
+            value = corners[where](support, args.n, x)
+        except ValueError as exc:
+            if args.n < 1:  # the message names n, not the corner
+                raise
+            raise ValueError(f"--corner {exc}") from exc
     elif args.engine == "brute":
         value = count_bruteforce(support, args.n)
     else:

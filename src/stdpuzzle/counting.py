@@ -139,16 +139,17 @@ class CornerTable(NamedTuple):
         return sum(self.entries.values())
 
     def bottom_sum(self, x: int) -> int:
-        self._check_rank(x)
+        _check_rank(x, self.columns)
         return sum(c for (u, _), c in self.entries.items() if u == x)
 
     def top_sum(self, x: int) -> int:
-        self._check_rank(x)
+        _check_rank(x, self.columns)
         return sum(c for (_, v), c in self.entries.items() if v == x)
 
-    def _check_rank(self, x: int) -> None:
-        if not 1 <= x <= 2 * self.columns:
-            raise ValueError(f"rank {x} out of range 1..{2 * self.columns}")
+
+def _check_rank(x: int, columns: int) -> None:
+    if not 1 <= x <= 2 * columns:
+        raise ValueError(f"rank {x} out of range 1..{2 * columns}")
 
 
 def corner_table(support: Support, m: int) -> CornerTable:
@@ -175,21 +176,22 @@ def count_dp(support: Support, n: int) -> int:
     return count_prefix(support, n)[-1]
 
 
-def _puzzle_table(support: Support, n: int) -> CornerTable:
-    """The corner table of the supported n-puzzles (n + 1 columns)."""
+def _puzzle_table(support: Support, n: int, x: int) -> CornerTable:
+    """The n-puzzles' corner table (n + 1 columns), after checking n and x."""
     if n < 1:
         raise ValueError("puzzles need n >= 1 pieces")
+    _check_rank(x, n + 1)
     return corner_table(support, n + 1)
 
 
 def count_corner_bottom(support: Support, n: int, x: int) -> int:
     """Puzzles with label x in the bottom-right corner."""
-    return _puzzle_table(support, n).bottom_sum(x)
+    return _puzzle_table(support, n, x).bottom_sum(x)
 
 
 def count_corner_top(support: Support, n: int, x: int) -> int:
     """Puzzles with label x in the top-right corner."""
-    return _puzzle_table(support, n).top_sum(x)
+    return _puzzle_table(support, n, x).top_sum(x)
 
 
 def _relabel(u2: int, v2: int, size: int) -> list[int]:

@@ -1,10 +1,11 @@
 """Closed-form and recurrence oracles for the classic sequences.
 
-Everything here is independent of the puzzle engines: these are the
-reference values the counting results get checked against.  Conventions at
-the boundary indices follow the combinatorial definitions: (-1)!! = 0!! = 1,
-T(n,0) = 0, t(n,n+1) = 0.  A generator raises ValueError outside its reach;
-each REGISTRY row states its generator's domain as `first`..`last`.
+Everything here is independent of the puzzle engines (lattice_L uses the
+skeleton model's generic order counter): these are the reference values
+the counting results get checked against.  Conventions at the boundary
+indices follow the combinatorial definitions: (-1)!! = 0!! = 1,
+T(n,0) = 0, t(n,n+1) = 0.  A generator raises ValueError outside its
+reach; each REGISTRY row states its generator's domain as `first`..`last`.
 
 registry_matches is one lookup in a table of every REGISTRY window of
 length m (shifted by MATCH_OFFSETS, scaled by MATCH_FACTORS where that
@@ -154,37 +155,26 @@ def catalan_triangle_t(n: int, k: int) -> int:
 
 #: Largest n that lattice_L and whirlpool_W evaluate.  More whirlpool terms
 #: would add registry windows and could change families, identify and seq output.
+#: LATTICE_BOUND is IDEAL_BUDGET's reach: 47321 order ideals at 12, 114243 at 13.
 LATTICE_BOUND = 12
 WHIRLPOOL_BOUND = 5
 
 
 def lattice_L(n: int) -> int:
     """Paths from (2,...,2) to (0,...,0) in n coordinates, one unit step down
-    at a time, every visited point having |p_i - p_{i+1}| <= 1."""
+    at a time, every visited point having |p_i - p_{i+1}| <= 1: the linear
+    extensions of the order on the steps a_i (p_i 2 -> 1) and b_i (p_i 1 -> 0)
+    that puts each b_i after a_{i-1}, a_i and a_{i+1}."""
     if n < 1:
         raise ValueError("lattice_L needs n >= 1")
     if n > LATTICE_BOUND:
         raise ValueError(f"n={n} exceeds the lattice-path bound {LATTICE_BOUND}")
-    target = (0,) * n
-    memo: dict[tuple[int, ...], int] = {}
-
-    def ways(state: tuple[int, ...]) -> int:
-        if state == target:
-            return 1
-        got = memo.get(state)
-        if got is not None:
-            return got
-        total = 0
-        for i, v in enumerate(state):
-            # Lowering p_i to v-1 keeps the points smooth exactly when
-            # neither neighbour p_{i-1}, p_{i+1} exceeds v.
-            if v and (i == 0 or state[i - 1] <= v) and (
-                    i == n - 1 or state[i + 1] <= v):
-                total += ways(state[:i] + (v - 1,) + state[i + 1:])
-        memo[state] = total
-        return total
-
-    return ways((2,) * n)
+    # Imported on first use, so commands that never read L load no skeleton.
+    from .skeleton import SkeletonGraph, count_linear_extensions
+    steps = [(step, i) for i in range(n) for step in "ab"]
+    order = {(("a", j), ("b", i)) for i in range(n) for j in (i - 1, i, i + 1)
+             if 0 <= j < n}
+    return count_linear_extensions(SkeletonGraph(steps, order))
 
 
 def whirlpool_W(n: int) -> int:

@@ -367,8 +367,6 @@ class CompositionQuery(_CompositionFields):
 
     def __new__(cls, x: int, y: int, z: int, n: int, converter_kind: str = "B"):
         for v in (x, z):
-            if v not in range(1, 21):
-                raise ValueError(f"simple piece index {v} out of range 1..20")
             if simple_piece_row(v).refinement is None:
                 raise ValueError(f"family {v} has no refinement; composition unavailable")
         if y not in range(1, 7):

@@ -102,7 +102,7 @@ def test_c03_secant_numbers():
 
 
 def test_c04_smooth_lattice_paths():
-    with criterion(4, "smooth lattice-path family via the independent path walk"):
+    with criterion(4, "smooth lattice-path family via the lattice-step order"):
         support = Support.parse("A1,A2,A4,A5")
         for n in range(1, 5):
             assert count_dp(support, n) == lattice_L(n + 1)

@@ -372,6 +372,10 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "seq", "--name", "whirlpool", "--start", "0", "--upto", "3") \
         == (2, "", "error: seq whirlpool takes 1 <= --start <= --upto <= 5, "
                    "got --start 0, --upto 3\n")
+    # simple piece indices past 1..20, as x and as z
+    for x, z, v in (("21", "9", 21), ("4", "0", 0)):
+        assert run(capsys, "compose", "--x", x, "--y", "2", "--z", z, "--n", "3") \
+            == (2, "", f"error: simple piece index {v} out of range 1..20\n")
     # a retired theorem id: F(n+3) is `seq --name fibonacci --start N+3 --upto N+3`
     assert run(capsys, "theorem", "--id", "fibonacci", "--i", "99", "--n", "3") \
         == (2, "", "error: unknown theorem id 'fibonacci'\n")
@@ -439,8 +443,13 @@ def test_malformed_x_names_the_option(capsys, xs):
      "error: puzzles need n >= 1 pieces\n"),
     (["count", "--support", "A1,A2,A3", "--n", "-2", "--corner", "top=1"],
      "error: puzzles need n >= 1 pieces\n"),
+    (["count", "--support", str(FULL_SUPPORT), "--n", "60", "--corner", "bottom=999"],
+     "error: --corner rank 999 out of range 1..122\n"),
+    (["count", "--support", "A1,A2,A3", "--n", "3", "--corner", "top=0"],
+     "error: --corner rank 0 out of range 1..8\n"),
 ), ids=("corner-rank", "corner-side", "window-label", "window-size", "repeated-x",
-        "open-x", "corner-n-zero", "corner-n-negative"))
+        "open-x", "corner-n-zero", "corner-n-negative", "corner-rank-past-2n+2",
+        "corner-rank-zero"))
 def test_malformed_option_values_name_the_option(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
 
@@ -507,7 +516,7 @@ def test_commands_import_only_the_modules_they_run():
                                     "stdpuzzle.counting", "stdpuzzle.pieces"]
     assert probe["after_identify"] == ["stdpuzzle", "stdpuzzle.cli",
                                        "stdpuzzle.counting", "stdpuzzle.pieces",
-                                       "stdpuzzle.sequences"]
+                                       "stdpuzzle.sequences", "stdpuzzle.skeleton"]
     # Every public name resolves, and `import *` binds exactly those.
     assert len(probe["all"]) == 49 and probe["star"] == sorted(probe["all"])
     assert run_probe(_CLOSED_FORM_PROBE) == [

@@ -238,6 +238,16 @@ def test_corner_rank_range():
         count_corner_bottom(Support.parse("A1"), 1, 5)
 
 
+def test_corner_rank_refused_before_any_dp_layer(monkeypatch):
+    def no_layers(mask):
+        raise AssertionError("a DP layer was built")
+    monkeypatch.setattr(counting, "_layers", no_layers)
+    for corner in (count_corner_bottom, count_corner_top):
+        for x in (0, 123, 999):
+            with pytest.raises(ValueError, match=f"rank {x} out of range 1..122"):
+                corner(FULL_SUPPORT, 60, x)
+
+
 @given(st.sets(st.sampled_from(range(24)), max_size=24), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_dp_equals_bruteforce(ordinals, n):

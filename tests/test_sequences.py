@@ -4,15 +4,16 @@ from itertools import accumulate, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stdpuzzle import sequences
+from stdpuzzle import sequences, skeleton
 from stdpuzzle.counting import count_prefix
 from stdpuzzle.pieces import Support
-from stdpuzzle.sequences import (MATCH_FACTORS, MATCH_HEAD, MATCH_OFFSETS,
-                                 REGISTRY, catalan, catalan_triangle_t,
-                                 double_factorial, entringer, fibonacci,
-                                 lattice_L, multinomial_all_pairs,
-                                 registry_matches, secant, triangle_T,
-                                 whirlpool_W)
+from stdpuzzle.sequences import (LATTICE_BOUND, MATCH_FACTORS, MATCH_HEAD,
+                                 MATCH_OFFSETS, REGISTRY, catalan,
+                                 catalan_triangle_t, double_factorial,
+                                 entringer, fibonacci, lattice_L,
+                                 multinomial_all_pairs, registry_matches,
+                                 secant, triangle_T, whirlpool_W)
+from stdpuzzle.skeleton import IDEAL_BUDGET, SkeletonGraph, count_linear_extensions
 from stdpuzzle.theorems import SIMPLE_PIECES
 from test_counting import NAMED, run_fresh
 
@@ -126,12 +127,33 @@ def test_lattice_L():
     assert [lattice_L(n) for n in range(1, 13)] == [
         1, 4, 44, 896, 29392, 1413792, 93770800, 8201380224, 914570667792,
         126651310675680, 21323599202141616, 4289517397262212416]
-    for n in (1, 2, 3):
+    for n in range(1, 5):
         assert lattice_L(n) == exhaustive_lattice_paths(n)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=13 exceeds the lattice-path bound 12"):
         lattice_L(13)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lattice_L needs n >= 1"):
         lattice_L(0)
+
+
+def lattice_step_order(n):
+    """a_i lowers coordinate i from 2 to 1, b_i from 1 to 0; each b_i follows
+    a_i and its neighbours' a steps."""
+    return SkeletonGraph([f"{step}{i}" for i in range(n) for step in "ab"],
+                         {(f"a{j}", f"b{i}") for i in range(n)
+                          for j in (i - 1, i, i + 1) if 0 <= j < n})
+
+
+def test_lattice_bound_is_the_reach_of_the_ideal_budget(monkeypatch):
+    assert lattice_L(LATTICE_BOUND) == \
+        count_linear_extensions(lattice_step_order(LATTICE_BOUND))
+    with pytest.raises(ValueError, match=f"budget {IDEAL_BUDGET}"):
+        count_linear_extensions(lattice_step_order(LATTICE_BOUND + 1))
+    # The LATTICE_BOUND order has 47321 ideals, all within the budget.
+    monkeypatch.setattr(skeleton, "IDEAL_BUDGET", 47321)
+    lattice_L(LATTICE_BOUND)
+    monkeypatch.setattr(skeleton, "IDEAL_BUDGET", 47320)
+    with pytest.raises(ValueError, match="budget 47320"):
+        lattice_L(LATTICE_BOUND)
 
 
 def whirlpool_filter(n):
