@@ -29,6 +29,10 @@ the support's 8 images.  A base or single-converter support with the same
 least image reuses that prefix: the full kind-2 sweep runs the DP on 631
 supports instead of 4693.
 
+A group's base is `theorems.glued_support(x, z)`, the support to which
+`theorems.compose_support` adds B_y, or for a mirrored kind-1 group its
+f2 image, as `compose`'s C support is the f2 image of its B support.
+
 A row's prefix therefore rests on three things: the DP, additivity,
 which the `converter-additivity` claim of `verify` checks by recounting a
 sample of added rows directly, and flip invariance, which the
@@ -46,13 +50,13 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import or_
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .counting import count_prefix
 from .pieces import Support
 from .sequences import registry_matches
-from .theorems import SIMPLE_PIECES, simple_piece_row
-from .transforms import SYMMETRIES, f2, f12, map_mask
+from .theorems import SIMPLE_PIECES, glued_support
+from .transforms import SYMMETRIES, f2, map_mask
 
 _FORMULA_FREE = frozenset(r.x for r in SIMPLE_PIECES if r.refinement is None)
 
@@ -67,16 +71,6 @@ _SUBSETS = tuple(frozenset(c) for r in range(7) for c in combinations(range(1, 7
 
 def _converter_mask(converter_kind: str, subset) -> int:
     return Support.of(*[f"{converter_kind}{y}" for y in subset]).mask
-
-
-def _base_mask(x: int, z: Optional[int], mirrored: bool) -> int:
-    """The mask of a group's support without converters."""
-    base = simple_piece_row(x).support
-    if mirrored:
-        base = f2(base)
-    if z is not None:
-        base |= f12(simple_piece_row(z).support)
-    return base.mask
 
 
 def _images(mask: int) -> list[int]:
@@ -133,7 +127,8 @@ def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
     mirrorings = (False, True) if kind == 1 else (False,)
     for x, z in pairs:
         formula_free = x in _FORMULA_FREE or z in _FORMULA_FREE
-        bases = [_base_mask(x, z, mirrored) for mirrored in mirrorings]
+        glued = glued_support(x, z)
+        bases = [(f2(glued) if mirrored else glued).mask for mirrored in mirrorings]
         base_images = [_images(base) for base in bases]
         for converter_kind in ("B", "C"):
             # per mirroring, the group's prefixes indexed by subset bit set

@@ -33,11 +33,7 @@ def double_factorial(k: int) -> int:
     """k!! = k (k-2) (k-4) ...; (-1)!! = 0!! = 1."""
     if k < -1:
         raise ValueError(f"double factorial undefined for {k}")
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return math.prod(range(k, 1, -2))
 
 
 def catalan(k: int) -> int:

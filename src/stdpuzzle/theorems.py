@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Optional
 from .pieces import Support
 from .sequences import (catalan, double_factorial, entringer, lattice_L,
                         multinomial_all_pairs, secant)
-from .transforms import f1, f2, f12, f123
+from .transforms import f2, f12, f123
 
 
 def _comb0(n: int, k: int) -> int:
@@ -344,11 +344,10 @@ def q3(i: int, j: int, k: int, l: int, m: int, p: int) -> int:
 def ty(y: int, i: int, j: int, k: int, l: int, m: int, p: int) -> int:
     """Junction weight for converter B_y: q_y, with argument blocks swapped
     for y in 4..6."""
-    if y in (1, 2, 3):
+    _check_i(y)
+    if y <= 3:
         return (q1, q2, q3)[y - 1](i, j, k, l, m, p)
-    if y in (4, 5, 6):
-        return (q1, q2, q3)[y - 4](k, l, i, j, p, m)
-    raise ValueError(f"converter index {y} out of range 1..6")
+    return (q1, q2, q3)[y - 4](k, l, i, j, p, m)
 
 
 class _CompositionFields(NamedTuple):
@@ -369,8 +368,7 @@ class CompositionQuery(_CompositionFields):
         for v in (x, z):
             if simple_piece_row(v).refinement is None:
                 raise ValueError(f"family {v} has no refinement; composition unavailable")
-        if y not in range(1, 7):
-            raise ValueError(f"converter index {y} out of range 1..6")
+        _check_i(y)
         if n < 1:
             raise ValueError("puzzles need n >= 1 pieces")
         if converter_kind not in ("B", "C"):
@@ -378,13 +376,18 @@ class CompositionQuery(_CompositionFields):
         return super().__new__(cls, x, y, z, n, converter_kind)
 
 
+def glued_support(x: int, z: Optional[int] = None) -> Support:
+    """Simple piece x, united with the f12 image of simple piece z if given."""
+    support = simple_piece_row(x).support
+    return support if z is None else support | f12(simple_piece_row(z).support)
+
+
 def compose_support(query: CompositionQuery) -> Support:
-    """The glued support the composition rule counts."""
-    sx = simple_piece_row(query.x).support
-    sz = simple_piece_row(query.z).support
-    if query.converter_kind == "B":
-        return sx | Support.of(f"B{query.y}") | f12(sz)
-    return f2(sx) | Support.of(f"C{query.y}") | f1(sz)
+    """The glued support the composition rule counts: glued_support(x, z)
+    with B_y, and for kind C its f2 image, f2(sx) | C_y | f1(sz), since f1
+    and f2 commute and so f2 o f12 = f1."""
+    support = glued_support(query.x, query.z) | Support.of(f"B{query.y}")
+    return support if query.converter_kind == "B" else f2(support)
 
 
 def compose(query: CompositionQuery) -> int:

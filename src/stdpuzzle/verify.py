@@ -12,6 +12,9 @@ discrepancy instead of hiding it.
 Each claim is one row of CLAIMS: its description, a check that builds
 the two vectors, and the cap on n its oracle reaches.  run_verification
 runs every row the same way and reports the n range each one checked.
+The simple-family claims (catalan, double-factorial, lattice-paths, the
+engine half of secant, simple-piece-table) are capped views of
+theorems.SIMPLE_PIECES rows: the table states each support and count.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from . import families, theorems
 from .counting import (corner_table, count_bruteforce, count_dp,
                        count_prefix)
 from .pieces import PIECES, Support, reduce_window
-from .sequences import (catalan, catalan_triangle_t, double_factorial,
-                        entringer, fibonacci, lattice_L, secant, triangle_T,
-                        whirlpool_W)
+from .sequences import (catalan_triangle_t, double_factorial, entringer,
+                        fibonacci, secant, triangle_T, whirlpool_W)
 from .skeleton import (SkeletonGraph, all_simple_pieces,
                        count_linear_extensions, drawn_edge_count)
 from .transforms import f1, f2, f3, f123
@@ -103,6 +105,11 @@ def _formula(cases, hi: int) -> tuple[list, list]:
     return computed, expected
 
 
+def _simple_cases(*xs) -> list:
+    """The _formula cases of SIMPLE_PIECES rows xs: support, count, n = 1."""
+    return [(row.support, row.count, 1) for row in map(theorems.simple_piece_row, xs)]
+
+
 def _chain(vertices) -> set:
     """The edges v1 -> v2 -> ... asserting v1 < v2 < ..."""
     return set(zip(vertices, vertices[1:]))
@@ -119,8 +126,7 @@ def _pieces(hi: int) -> tuple[list, list]:
 
 
 def _secant(hi: int) -> tuple[list, list]:
-    computed = count_prefix(Support.parse("A1,A2,A3,A4,A5"), hi)
-    expected = [secant(n + 1) for n in range(1, hi + 1)]
+    computed, expected = _formula(_simple_cases(8), hi)
     # Independent confirmation of the secant values themselves: they count
     # the down-up permutations of 1..2k, the extensions of p1 > p2 < p3 > ...
     for k in range(1, min(hi + 1, 5) + 1):
@@ -353,19 +359,15 @@ CLAIMS = {
                     _pieces, span="-"),
     "catalan": Claim(
         "counts for {A2,A3} are the Catalan numbers",
-        partial(_formula, [(Support.parse("A2,A3"), lambda n: catalan(n + 1), 1)]),
-        cap=8),
+        partial(_formula, _simple_cases(17)), cap=8),
     "double-factorial": Claim(
         "{A1,A2,A3} counts (2n+1)!!, {A1,A2} counts (2n)!!",
-        partial(_formula, [
-            (Support.parse("A1,A2,A3"), lambda n: double_factorial(2 * n + 1), 1),
-            (Support.parse("A1,A2"), lambda n: double_factorial(2 * n), 1)]), cap=8),
+        partial(_formula, _simple_cases(4, 11)), cap=8),
     "secant": Claim("counts for {A1..A5} are the secant numbers (confirmed by "
                     "linear extensions of the zigzag order)", _secant, cap=5),
     "lattice-paths": Claim(
         "counts for {A1,A2,A4,A5} are the smooth lattice-path numbers",
-        partial(_formula, [(Support.parse("A1,A2,A4,A5"),
-                            lambda n: lattice_L(n + 1), 1)]), cap=6),
+        partial(_formula, _simple_cases(10)), cap=6),
     "fibonacci": Claim(
         "counts for {A1,B1,C1} and its flip are F(n+3)",
         partial(_formula, [(Support.parse(codes), lambda n: fibonacci(n + 3), 1)
@@ -390,8 +392,7 @@ CLAIMS = {
         _hypergeometric, cap=20),
     "simple-piece-table": Claim(
         "all 20 tabulated simple-piece formulas match the engine",
-        partial(_formula, [(row.support, row.count, 1)
-                           for row in theorems.SIMPLE_PIECES]), cap=4),
+        partial(_formula, _simple_cases(*range(1, 21))), cap=4),
     "simple-pieces": Claim(
         "20 simple pieces per class (80 total), drawn-skeleton group sizes "
         "{1,2,8,9} over 2..5 edges, converter classes die at n >= 2",

@@ -9,7 +9,7 @@ from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import sweep
 from stdpuzzle.pieces import Support
 from stdpuzzle.theorems import (SIMPLE_PIECES, CompositionQuery, a123_plus_b,
-                                compose, simple_piece_row)
+                                compose, compose_support, simple_piece_row)
 from stdpuzzle.transforms import f1, f2
 
 DESCRIPTOR_KEYS = ("x", "converter_kind", "converter_subset", "z", "mirrored",
@@ -245,3 +245,16 @@ def test_single_converter_c_rows_match_compose():
         assert row["prefix"] == [
             str(compose(CompositionQuery(xbar[row["x"]], y, xbar[row["z"]], n, "B")))
             for n in range(1, 5)]
+
+
+def test_single_converter_b_rows_are_compose_supports():
+    # The sweep glues a group's support as compose_support does, and the
+    # C query's support is the f2 image of the B query's.
+    rows = [r for r in sweep(2, 3, xs=[4, 8, 17])
+            if r["converter_kind"] == "B" and len(r["converter_subset"]) == 1]
+    assert len(rows) == 3 * 3 * 6
+    for row in rows:
+        x, y, z = row["x"], int(row["converter_subset"]), row["z"]
+        b_support = compose_support(CompositionQuery(x, y, z, 3, "B"))
+        assert row["support"] == str(b_support)
+        assert compose_support(CompositionQuery(x, y, z, 3, "C")) == f2(b_support)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from stdpuzzle import verify
+from stdpuzzle.pieces import Support
 from stdpuzzle.verify import STATUS_FAIL, STATUS_PASS, run_verification
 
 # (claim, n_range at --nmax 1, status at 1, n_range at --nmax 8, status at 8):
@@ -58,11 +59,9 @@ def test_hypergeometric_halves_print_as_integers():
     assert all(v.isdigit() for v in result.to_dict()["computed"])
 
 
-@pytest.mark.parametrize("claim, passes, vector", (
-    ("flip-pair-identity", 508, [True, 548]),
-    ("product-identity", 315, [0, 945]),
-))
-def test_identity_claims_count_each_support_once(monkeypatch, claim, passes, vector):
+@pytest.fixture
+def counted_masks(monkeypatch):
+    """The mask of each support verify hands count_prefix, in call order."""
     masks = []
     count_prefix = verify.count_prefix
 
@@ -71,6 +70,30 @@ def test_identity_claims_count_each_support_once(monkeypatch, claim, passes, vec
         return count_prefix(support, nmax)
 
     monkeypatch.setattr(verify, "count_prefix", recorder)
+    return masks
+
+
+@pytest.mark.parametrize("claim, passes, vector", (
+    ("flip-pair-identity", 508, [True, 548]),
+    ("product-identity", 315, [0, 945]),
+))
+def test_identity_claims_count_each_support_once(counted_masks, claim, passes, vector):
     result = run_verification([claim], nmax=3).results[0]
-    assert len(masks) == len(set(masks)) == passes
+    assert len(counted_masks) == len(set(counted_masks)) == passes
     assert result.computed == result.expected == vector
+
+
+@pytest.mark.parametrize("claim, supports", (
+    ("catalan", ["A2,A3"]),
+    ("double-factorial", ["A1,A2,A3", "A1,A2"]),
+    ("lattice-paths", ["A1,A2,A4,A5"]),
+    ("secant", ["A1,A2,A3,A4,A5"]),
+    ("fibonacci", ["A1,B1,C1", "B1,C1,D1"]),
+    ("linear-family", ["A1,B1,D1", "A1,C1,D1"]),
+    ("whirlpool", ["A1,A4,B3,B6,C3,C6,D1,D4"]),
+))
+def test_formula_claims_count_the_supports_they_name(counted_masks, claim, supports):
+    # Families 17 and 18 share their counts, so only the supports a claim
+    # hands the engine show which family it checks.
+    assert run_verification([claim], nmax=3).results[0].status == STATUS_PASS
+    assert set(counted_masks) == {Support.parse(codes).mask for codes in supports}
