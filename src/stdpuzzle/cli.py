@@ -1,13 +1,15 @@
 """Command-line surface.
 
-Subcommands: pieces, reduce, transform, skeleton, count, enumerate, seq,
-theorem, compose, verify, identify, families.  Structured results go to
-stdout as JSON (or CSV with --format csv); human-oriented progress lines
-go to stderr.  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 I/O error, 4 a computation that could not finish (a failed
-internal cross-check, too deep a recursion or no memory left).
+`build_parser` is the one list of subcommands: each subcommand's parser
+carries its handler as the `handler` default, which `main` calls.
+Structured results go to stdout as JSON (or CSV with --format csv);
+human-oriented progress lines go to stderr.  Exit codes: 0 success,
+1 verification failure, 2 usage error, 3 I/O error, 4 a computation that
+could not finish (a failed internal cross-check, too deep a recursion or
+no memory left).
 
-Each handler imports the modules it runs, so a command loads only those.
+Each handler still imports only the modules it runs, so a command loads
+only those.
 """
 
 from __future__ import annotations
@@ -308,50 +310,56 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and its subcommands' parsers by name."""
     parser = _Parser(
         prog="stdpuzzle",
         description="enumerate, count, and verify standard puzzles")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("pieces", help="list the 24 standard pieces")
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("reduce", help="standardize a 2x2 window")
+    command("pieces", cmd_pieces, "list the 24 standard pieces")
+
+    p = command("reduce", cmd_reduce, "standardize a 2x2 window")
     p.add_argument("--window", required=True, help="TL,TR,BL,BR labels")
 
-    p = sub.add_parser("transform", help="apply a piece-set bijection")
+    p = command("transform", cmd_transform, "apply a piece-set bijection")
     p.add_argument("--map", required=True, choices=sorted(_MAPS))
     p.add_argument("--support", required=True)
 
-    p = sub.add_parser("skeleton", help="order digraph of a simple family")
+    p = command("skeleton", cmd_skeleton, "order digraph of a simple family")
     p.add_argument("--support", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dot", default=None,
                    help="write DOT here ('-' for raw stdout)")
 
-    p = sub.add_parser("count", help="count supported puzzles")
+    p = command("count", cmd_count, "count supported puzzles")
     p.add_argument("--support", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--engine", choices=("dp", "brute"), default="dp")
     p.add_argument("--corner", default=None, help="bottom=X or top=X")
 
-    p = sub.add_parser("enumerate", help="list supported puzzles")
+    p = command("enumerate", cmd_enumerate, "list supported puzzles")
     p.add_argument("--support", required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("seq", help="emit a reference sequence prefix")
+    p = command("seq", cmd_seq, "emit a reference sequence prefix")
     p.add_argument("--name", required=True)
     p.add_argument("--upto", type=int, required=True)
     p.add_argument("--start", type=int, help="default 0, or 1 if the sequence starts there")
 
-    p = sub.add_parser("theorem", help="evaluate a closed-form family count")
+    p = command("theorem", cmd_theorem, "evaluate a closed-form family count")
     p.add_argument("--id", required=True)
     p.add_argument("--i", type=int, default=1,
                    help="converter index 1..6, or the family 1..20 for simple_piece")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("compose", help="count a glued family by the triple sum")
+    p = command("compose", cmd_compose, "count a glued family by the triple sum")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--z", type=int, required=True)
@@ -360,16 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="cross-check against the DP engine")
 
-    p = sub.add_parser("verify", help="run the verification suite")
+    p = command("verify", cmd_verify, "run the verification suite")
     p.add_argument("--claim", action="append", default=None,
                    help="claim id (repeatable); default all")
     p.add_argument("--nmax", type=int, default=3)
 
-    p = sub.add_parser("identify", help="name a support's count sequence")
+    p = command("identify", cmd_identify, "name a support's count sequence")
     p.add_argument("--support", required=True)
     p.add_argument("--nmax", type=int, default=6)
 
-    p = sub.add_parser("families", help="sweep converter families")
+    p = command("families", cmd_families, "sweep converter families")
     p.add_argument("--kind", type=int, choices=(1, 2), required=True)
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--out", default=None)
@@ -378,23 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default=None,
                    help="restrict simple-piece indices, e.g. 4,8,17")
 
-    return parser
-
-
-_HANDLERS = {
-    "pieces": cmd_pieces,
-    "reduce": cmd_reduce,
-    "transform": cmd_transform,
-    "skeleton": cmd_skeleton,
-    "count": cmd_count,
-    "enumerate": cmd_enumerate,
-    "seq": cmd_seq,
-    "theorem": cmd_theorem,
-    "compose": cmd_compose,
-    "verify": cmd_verify,
-    "identify": cmd_identify,
-    "families": cmd_families,
-}
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
@@ -402,17 +394,17 @@ def main(argv=None) -> int:
     # (which Pythons before 3.10.7 do not have).
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
+    parser, commands = build_parser()
     # Before the subcommand, argparse would take an option's value for the command.
     for token in sys.argv[1:] if argv is None else argv:
-        if token in _HANDLERS:
+        if token in commands:
             break
         option = token.partition("=")[0]
         if option[:1] == "-" and not any(o.startswith(option) for o in ("--format", "--help", "-h")):
             parser.error(f"{option} goes after the subcommand; only --format goes before it")
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -454,18 +454,38 @@ def test_malformed_option_values_name_the_option(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)
 
 
-@pytest.mark.parametrize("exc, message", (
-    (RuntimeError("cross-check failed"), "error: RuntimeError: cross-check failed\n"),
-    (RecursionError("maximum recursion depth exceeded"),
+# Arguments each subcommand parses, by subcommand; every subcommand has a row.
+MINIMAL_ARGV = {
+    "pieces": [],
+    "reduce": ["--window", "1,2,3,4"],
+    "transform": ["--map", "f1", "--support", "A1"],
+    "skeleton": ["--support", "A1,A2,A3", "--n", "1"],
+    "count": ["--support", "A1", "--n", "1"],
+    "enumerate": ["--support", "A1", "--n", "1"],
+    "seq": ["--name", "catalan", "--upto", "3"],
+    "theorem": ["--id", "a123b", "--n", "1"],
+    "compose": ["--x", "4", "--y", "1", "--z", "4", "--n", "1"],
+    "verify": [],
+    "identify": ["--support", "A1"],
+    "families": ["--kind", "1"],
+}
+
+
+@pytest.mark.parametrize("exc, code, message", (
+    (ValueError("bad"), 2, "error: bad\n"),
+    (OSError("disk"), 3, "i/o error: disk\n"),
+    (RuntimeError("cross-check failed"), 4, "error: RuntimeError: cross-check failed\n"),
+    (RecursionError("maximum recursion depth exceeded"), 4,
      "error: RecursionError: maximum recursion depth exceeded\n"),
-    (MemoryError(), "error: MemoryError\n"),
-), ids=("RuntimeError", "RecursionError", "MemoryError"))
-def test_failed_computation_exits_4_without_traceback(monkeypatch, capsys, exc,
-                                                      message):
+    (MemoryError(), 4, "error: MemoryError\n"),
+), ids=("ValueError", "OSError", "RuntimeError", "RecursionError", "MemoryError"))
+@pytest.mark.parametrize("command", cli.build_parser()[1])
+def test_every_subcommand_maps_a_handler_failure_to_its_exit_code(
+        monkeypatch, capsys, command, exc, code, message):
     def handler(args):
         raise exc
-    monkeypatch.setitem(cli._HANDLERS, "pieces", handler)
-    assert run(capsys, "pieces") == (4, "", message)
+    monkeypatch.setattr(cli, f"cmd_{command}", handler)
+    assert run(capsys, command, *MINIMAL_ARGV[command]) == (code, "", message)
 
 
 _STARTUP_PROBE = """
@@ -624,6 +644,11 @@ def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
     except SystemExit as exc:  # an argparse usage error
         code = exc.code
     assert code == 0, capsys.readouterr().err
+
+
+def test_every_subcommand_has_a_readme_example():
+    parser, commands = cli.build_parser()
+    assert {parser.parse_args(argv).command for argv in readme_commands()} == set(commands)
 
 
 def test_readme_library_tour_runs():
