@@ -1,15 +1,14 @@
 """Tour of the closed forms: converter families, refinements, and gluing.
 
-Each simple piece united with one converter piece has a closed-form count;
-the corner refinements have per-family formulas; and two families glued
-through a converter are counted by a triple sum over the junction ranks.
-Everything is cross-checked against the engines.
+Seven simple pieces united with one converter piece have closed-form counts
+(theorems.CONVERTER_FORMS); the corner refinements have per-family formulas;
+and two families glued through a converter are counted by a triple sum over
+the junction ranks.  Everything is cross-checked against the engines.
 """
 
 from stdpuzzle import Support, count_dp, count_prefix
-from stdpuzzle.theorems import (CompositionQuery, SIMPLE_PIECES, a2_plus_b,
-                                a23_plus_b, a123_plus_b, compose,
-                                compose_support, converter_image,
+from stdpuzzle.theorems import (CONVERTER_FORMS, CompositionQuery, SIMPLE_PIECES,
+                                compose, compose_support, converter_image,
                                 px_refinement, simple_piece_count)
 
 print("The 20 simple-piece families and their formulas:")
@@ -18,14 +17,12 @@ for row in SIMPLE_PIECES:
     print(f"  {row.x:2d}. {{{row.support}}}: {row.sequence}  -> {values}")
 
 print()
-print("One-converter closed forms vs the engine:")
-for i, fn, codes in [(1, a123_plus_b, "A1,A2,A3,B1"),
-                     (5, a23_plus_b, "A2,A3,B5"),
-                     (6, a2_plus_b, "A2,B6")]:
-    support = Support.parse(codes)
-    formula = [fn(i, n) for n in (1, 2, 3, 4)]
-    engine = count_prefix(support, 4)
-    print(f"  {{{codes}}}: formula {formula}, engine {engine}")
+print("One-converter closed forms vs the engine, converter index 5, n = first..4:")
+for form in CONVERTER_FORMS:
+    support, first = form.support(5), form.first[4]
+    formula = [form.count(5, n) for n in range(first, 5)]
+    engine = count_prefix(support, 4)[first - 1:]
+    print(f"  {form.id} {{{support}}}: formula {formula}, engine {engine}")
 
 print()
 print("2-converter families reduce to 1-converter families:")

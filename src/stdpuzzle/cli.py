@@ -21,17 +21,6 @@ import sys
 
 from .pieces import Support, piece_table, reduce_window
 
-# Theorem id -> its function's name in `theorems`; every one takes (i, n).
-_THEOREM_FUNCS = {
-    "a123b": "a123_plus_b", "a12b": "a12_plus_b", "a123c": "a123_plus_c",
-    "a12c": "a12_plus_c", "a23b": "a23_plus_b", "a2b": "a2_plus_b",
-    "a12345b": "a12345_plus_b", "simple_piece": "simple_piece_count",
-}
-
-# Theorem numbers as aliases of the descriptive ids.
-_THEOREM_ALIASES = {"thm42": "a123b", "thm43": "a12b", "thm44": "a123c",
-                    "thm46": "a23b", "thm47": "a2b", "thm48": "a12345b"}
-
 _MAPS = ("f1", "f2", "f3", "f12", "f123")  # bijections in `transforms`
 
 # Ceilings of the size options, each checked by `_check_ceiling`; the
@@ -59,9 +48,8 @@ SEQ_UPTO_BOUND = 2000
 
 # Largest `theorem --n`.  At 2000 every id that answers does so cold in
 # about 0.15 s with at most 12 KB of output; at 100000 several ids run
-# for longer than 5 s.  The ceiling does not promise an answer: `a12345b`
-# and `simple_piece` 8 and 9 stop at n = 499 (the `secant` reach), and
-# `simple_piece` 10 at n = 11 (the `lattice_L` reach); past those they exit 2.
+# for longer than 5 s.  An id whose sequences stop sooner exits 2 past
+# its own reach, the `last` its `theorems` row states (499 for `a12345b`).
 THEOREM_N_BOUND = 2000
 
 
@@ -215,14 +203,11 @@ def cmd_seq(args) -> int:
 
 
 def cmd_theorem(args) -> int:
-    name = _THEOREM_ALIASES.get(args.id, args.id)
-    if name not in _THEOREM_FUNCS:
-        raise ValueError(f"unknown theorem id {args.id!r}")
+    from .theorems import resolve_theorem
+    name, count = resolve_theorem(args.id)
     _check_ceiling("--n", args.n, THEOREM_N_BOUND)
-    from . import theorems
-    fn = getattr(theorems, _THEOREM_FUNCS[name])
     try:
-        value = fn(args.i, args.n)
+        value = count(args.i, args.n)
     except ValueError as exc:
         raise ValueError(f"theorem {args.id} (--i {args.i}, --n {args.n}): {exc}") from exc
     payload = {"id": args.id, "resolved": name, "i": args.i, "n": args.n,

@@ -6,8 +6,8 @@ SIMPLE_PIECES holds one row per family: its support, its count
 (px_refinement): how many puzzles of a given column length end with
 prescribed bottom-right / top-right ranks.  The module adds:
 
-* closed forms for a simple piece united with one converter piece
-  (a123_plus_b and friends),
+* CONVERTER_FORMS, the closed forms for a simple piece plus one converter
+  piece (the paper's theorems 4.2-4.8), each found by resolve_theorem,
 * the partition counts q1/q2/q3 and junction weights ty behind the
   composition rule, and compose itself, which counts puzzles whose support
   glues an increasing family, one 1-converter, and a mirrored family.
@@ -34,8 +34,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .pieces import Support
-from .sequences import (catalan, double_factorial, entringer, lattice_L,
-                        multinomial_all_pairs, secant)
+from .sequences import (LATTICE_BOUND, SECANT_BOUND, catalan, double_factorial,
+                        entringer, lattice_L, multinomial_all_pairs, secant)
 from .transforms import f2, f12, f123
 
 
@@ -45,10 +45,8 @@ def _comb0(n: int, k: int) -> int:
 
 
 def _as_int(value) -> int:
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise RuntimeError(f"expected an integer count, got {value}")
-        return int(value)
+    if isinstance(value, Fraction) and value.denominator != 1:
+        raise RuntimeError(f"expected an integer count, got {value}")
     return int(value)
 
 
@@ -57,7 +55,7 @@ class SimplePieceRow(NamedTuple):
 
     `refinement` maps m >= 2 to the nonzero corner refinements
     {(i, j): px(x, i, j, m)} (see px_refinement); it is None for the one
-    family with no closed-form refinement.
+    family with no closed-form refinement.  `last` is the count's reach.
     """
 
     x: int
@@ -65,10 +63,11 @@ class SimplePieceRow(NamedTuple):
     sequence: str  # human-readable formula label
     count: Callable[[int], int]
     refinement: Optional[Callable[[int], dict[tuple[int, int], int]]] = None
+    last: Optional[int] = None
 
 
-def _row(x, codes, sequence, count, refinement):
-    return SimplePieceRow(x, Support.parse(codes), sequence, count, refinement)
+def _row(x, codes, sequence, count, refinement, last=None):
+    return SimplePieceRow(x, Support.parse(codes), sequence, count, refinement, last)
 
 
 def _by_i(m: int, lo: int, hi: int, value: Callable[[int], int]) -> dict:
@@ -99,10 +98,13 @@ SIMPLE_PIECES: tuple[SimplePieceRow, ...] = (
     _row(7, "A1,A5,A6", "(2n+1)!!", lambda n: double_factorial(2 * n + 1),
          lambda m: _by_sum(2, m + 1, lambda s: _fact(2 * m - s) // _dfac(2 * m - 2 * s + 2))),
     _row(8, "A1,A2,A3,A4,A5", "secant(n+1)", lambda n: secant(n + 1),
-         lambda m: _by_sum(3, 2 * m, lambda s: entringer(2 * m - 2, s - 2))),
+         lambda m: _by_sum(3, 2 * m, lambda s: entringer(2 * m - 2, s - 2)),
+         SECANT_BOUND - 1),
     _row(9, "A1,A2,A4,A5,A6", "secant(n+1)", lambda n: secant(n + 1),
-         lambda m: _by_i(m, 1, 2 * m - 2, lambda i: entringer(2 * m - 2, 2 * m - i - 1))),
-    _row(10, "A1,A2,A4,A5", "smooth lattice paths L(n+1)", lambda n: lattice_L(n + 1), None),
+         lambda m: _by_i(m, 1, 2 * m - 2, lambda i: entringer(2 * m - 2, 2 * m - i - 1)),
+         SECANT_BOUND - 1),
+    _row(10, "A1,A2,A4,A5", "smooth lattice paths L(n+1)", lambda n: lattice_L(n + 1), None,
+         LATTICE_BOUND - 1),
     _row(11, "A1,A2", "(2n)!!", lambda n: double_factorial(2 * n),
          lambda m: _by_i(m, m, 2 * m - 2,
                          lambda i: (2 * m - 1 - i) * _fact(i - 2) // _dfac(2 * i - 2 * m))),
@@ -140,10 +142,10 @@ def simple_piece_row(x: int) -> SimplePieceRow:
 
 
 def simple_piece_count(x: int, n: int) -> int:
-    """Count for the x-th simple piece by its tabulated formula."""
-    if n < 1:
-        raise ValueError("puzzles need n >= 1 pieces")
-    return simple_piece_row(x).count(n)
+    """Count for the x-th simple piece by its tabulated formula, 1 <= n <= last."""
+    row = simple_piece_row(x)
+    _check_reach(n, 1, row.last)
+    return row.count(n)
 
 
 def _check_i(i: int) -> None:
@@ -151,15 +153,13 @@ def _check_i(i: int) -> None:
         raise ValueError(f"converter index {i} out of range 1..6")
 
 
-def _check_n(n: int, least: int, what: str) -> None:
-    if n < least:
-        raise ValueError(f"{what} requires n >= {least}, got {n}")
+def _check_reach(n: int, first: int, last: Optional[int]) -> None:
+    if n < first or last is not None and n > last:
+        reach = f">= {first}" if last is None else f"in {first}..{last}"
+        raise ValueError(f"n must be {reach}, got {n}")
 
 
-def a123_plus_b(i: int, n: int) -> int:
-    """Count for {A1,A2,A3} plus the 1-converter B_i."""
-    _check_i(i)
-    _check_n(n, 1, "a123_plus_b")
+def _a123b(i: int, n: int) -> int:
     if i <= 3:
         return _as_int(Fraction(4, 3) * double_factorial(2 * n + 1))
     if i <= 5:
@@ -167,10 +167,7 @@ def a123_plus_b(i: int, n: int) -> int:
     return (n + 3) * double_factorial(2 * n + 1) - double_factorial(2 * n + 2)
 
 
-def a12_plus_b(i: int, n: int) -> int:
-    """Count for {A1,A2} plus the 1-converter B_i."""
-    _check_i(i)
-    _check_n(n, 1, "a12_plus_b")
+def _a12b(i: int, n: int) -> int:
     if i <= 3:
         return _as_int(Fraction(3, 2) * double_factorial(2 * n))
     if i <= 5:
@@ -180,10 +177,7 @@ def a12_plus_b(i: int, n: int) -> int:
             - (4 * n + 4) * double_factorial(2 * n - 1))
 
 
-def a123_plus_c(i: int, n: int) -> int:
-    """Count for {A1,A2,A3} plus the 2-converter C_i."""
-    _check_i(i)
-    _check_n(n, 1, "a123_plus_c")
+def _a123c(i: int, n: int) -> int:
     if i <= 2:
         return (_comb0(2 * n, 2) * double_factorial(2 * n - 3)
                 + double_factorial(2 * n + 1))
@@ -193,17 +187,9 @@ def a123_plus_c(i: int, n: int) -> int:
             + double_factorial(2 * n + 1))
 
 
-def a12_plus_c(i: int, n: int) -> int:
-    """Count for {A1,A2} plus the 2-converter C_i.
-
-    The i = 3 form holds from n = 1; the others involve (2n-4)!! and are
-    only defined from n = 2.
-    """
-    _check_i(i)
+def _a12c(i: int, n: int) -> int:
     if i == 3:
-        _check_n(n, 1, "a12_plus_c(3, .)")
         return double_factorial(2 * n) + double_factorial(2 * n - 2)
-    _check_n(n, 2, f"a12_plus_c({i}, .)")
     even = double_factorial(2 * n)
     small = double_factorial(2 * n - 4)
     if i == 1:
@@ -219,10 +205,7 @@ def a12_plus_c(i: int, n: int) -> int:
     return _comb0(2 * n, 3) * small + even
 
 
-def a23_plus_b(i: int, n: int) -> int:
-    """Count for {A2,A3} plus the 1-converter B_i."""
-    _check_i(i)
-    _check_n(n, 1, "a23_plus_b")
+def _a23b(i: int, n: int) -> int:
     if i == 1:
         return _as_int(Fraction(3, n + 3) * _comb0(2 * n + 2, n))
     if i == 2:
@@ -242,10 +225,7 @@ def a23_plus_b(i: int, n: int) -> int:
                    + Fraction(_comb0(2 * n + 2, n + 1), n + 2))
 
 
-def a2_plus_b(i: int, n: int) -> int:
-    """Count for {A2} plus the 1-converter B_i."""
-    _check_i(i)
-    _check_n(n, 1, "a2_plus_b")
+def _a2b(i: int, n: int) -> int:
     if i == 1:
         return catalan(n + 1)
     if i == 2:
@@ -259,10 +239,7 @@ def a2_plus_b(i: int, n: int) -> int:
     return _as_int(Fraction(n * n - n + 4, 4 * n - 2) * _comb0(2 * n + 1, n - 1))
 
 
-def a12345_plus_b(i: int, n: int) -> int:
-    """Count for {A1..A5} plus the 1-converter B_i (Entringer sums, n >= 2)."""
-    _check_i(i)
-    _check_n(n, 2, "a12345_plus_b")
+def _a12345b(i: int, n: int) -> int:
     if i in (1, 5, 6):
         weight = lambda t: _comb0(t + 3, 3)
     elif i in (2, 4):
@@ -271,6 +248,50 @@ def a12345_plus_b(i: int, n: int) -> int:
         weight = lambda t: (t + 1) * _comb0(2 * n - t, 2)
     return sum(weight(t) * entringer(2 * n - 2, t)
                for t in range(1, 2 * n - 1)) + secant(n + 1)
+
+
+class ConverterForm(NamedTuple):
+    """Simple family x plus one converter {kind}i, i = 1..6, counted for
+    first[i - 1] <= n <= last (None: no limit); alias is a theorem number."""
+
+    id: str
+    alias: Optional[str]
+    x: int
+    kind: str
+    formula: Callable[[int, int], int]
+    first: tuple[int, ...] = (1,) * 6
+    last: Optional[int] = None
+
+    def support(self, i: int) -> Support:
+        return simple_piece_row(self.x).support | Support.of(f"{self.kind}{i}")
+
+    def count(self, i: int, n: int) -> int:
+        _check_i(i)
+        _check_reach(n, self.first[i - 1], self.last)
+        return self.formula(i, n)
+
+
+CONVERTER_FORMS: tuple[ConverterForm, ...] = (
+    ConverterForm("a123b", "thm42", 4, "B", _a123b),
+    ConverterForm("a12b", "thm43", 11, "B", _a12b),
+    ConverterForm("a123c", "thm44", 4, "C", _a123c),
+    # (2n-4)!! enters every form but i = 3's.
+    ConverterForm("a12c", None, 11, "C", _a12c, first=(2, 2, 1, 2, 2, 2)),
+    ConverterForm("a23b", "thm46", 17, "B", _a23b),
+    ConverterForm("a2b", "thm47", 19, "B", _a2b),
+    ConverterForm("a12345b", "thm48", 8, "B", _a12345b, first=(2,) * 6,
+                  last=SECANT_BOUND - 1),
+)
+
+
+def resolve_theorem(name: str) -> tuple[str, Callable[[int, int], int]]:
+    """The id an id, alias or simple_piece names, and its checked count (i, n)."""
+    if name == "simple_piece":
+        return name, simple_piece_count
+    for form in CONVERTER_FORMS:
+        if name in (form.id, form.alias):
+            return form.id, form.count
+    raise ValueError(f"unknown theorem id {name!r}")
 
 
 def converter_image(family: Support, i: int) -> int:
@@ -419,9 +440,6 @@ def sample_composition_queries(count: int, nmax: int = 3, seed: int = 20240809,
     """Deterministic sample of admissible composition queries."""
     rng = random.Random(seed)
     xs = [row.x for row in SIMPLE_PIECES if row.refinement is not None]
-    out = []
-    for _ in range(count):
-        out.append(CompositionQuery(rng.choice(xs), rng.randrange(1, 7),
-                                    rng.choice(xs), rng.randrange(1, nmax + 1),
-                                    converter_kind))
-    return out
+    return [CompositionQuery(rng.choice(xs), rng.randrange(1, 7), rng.choice(xs),
+                             rng.randrange(1, nmax + 1), converter_kind)
+            for _ in range(count)]

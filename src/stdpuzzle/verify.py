@@ -13,8 +13,8 @@ Each claim is one row of CLAIMS: its description, a check that builds
 the two vectors, and the cap on n its oracle reaches.  run_verification
 runs every row the same way and reports the n range each one checked.
 The simple-family claims (catalan, double-factorial, lattice-paths, the
-engine half of secant, simple-piece-table) are capped views of
-theorems.SIMPLE_PIECES rows: the table states each support and count.
+engine half of secant, simple-piece-table) and the two converter claims
+are capped views of theorems.SIMPLE_PIECES and CONVERTER_FORMS rows.
 """
 
 from __future__ import annotations
@@ -108,6 +108,13 @@ def _formula(cases, hi: int) -> tuple[list, list]:
 def _simple_cases(*xs) -> list:
     """The _formula cases of SIMPLE_PIECES rows xs: support, count, n = 1."""
     return [(row.support, row.count, 1) for row in map(theorems.simple_piece_row, xs)]
+
+
+def _converter_cases(*ids) -> list:
+    """The _formula cases of CONVERTER_FORMS rows ids, i = 1..6 outermost."""
+    forms = [form for form in theorems.CONVERTER_FORMS if form.id in ids]
+    return [(form.support(i), partial(form.count, i), form.first[i - 1])
+            for i in range(1, 7) for form in forms]
 
 
 def _chain(vertices) -> set:
@@ -343,16 +350,7 @@ def _converter_additivity(hi: int) -> tuple[list, list]:
     return computed, expected
 
 
-_CONVERTER_CASES = [
-    (Support.parse(codes.format(i)), partial(formula, i), first)
-    for i in range(1, 7)
-    for formula, codes, first in (
-        (theorems.a123_plus_b, "A1,A2,A3,B{}", 1),
-        (theorems.a12_plus_b, "A1,A2,B{}", 1),
-        (theorems.a123_plus_c, "A1,A2,A3,C{}", 1),
-        (theorems.a12_plus_c, "A1,A2,C{}", 1 if i == 3 else 2),
-        (theorems.a23_plus_b, "A2,A3,B{}", 1),
-        (theorems.a2_plus_b, "A2,B{}", 1))]
+_ENTRINGER_CASES = _converter_cases("a12345b")
 
 CLAIMS = {
     "pieces": Claim("24 distinct pieces, category rules, reduction idempotent",
@@ -402,12 +400,11 @@ CLAIMS = {
         "entries transposed, same multiset and total)"),
     "converter-closed-forms": Claim(
         "every one-converter closed form matches the engine",
-        partial(_formula, _CONVERTER_CASES), cap=4),
+        partial(_formula, _converter_cases("a123b", "a12b", "a123c", "a12c", "a23b",
+                                           "a2b")), cap=4),
     "entringer-closed-forms": Claim(
         "{A1..A5}+B_i Entringer sums match the engine",
-        partial(_formula, [(Support.parse(f"A1,A2,A3,A4,A5,B{i}"),
-                            partial(theorems.a12345_plus_b, i), 2) for i in range(1, 7)]),
-        cap=3, lo=2),
+        partial(_formula, _ENTRINGER_CASES), cap=3, lo=min(c[2] for c in _ENTRINGER_CASES)),
     "converter-images": Claim(
         "2-converter families count like their mapped 1-converter families",
         _converter_images, cap=3),

@@ -156,24 +156,12 @@ def test_c07_weighted_sum_identities():
 def test_c08_converter_closed_forms():
     with criterion(8, "all one-converter closed forms match the engine"):
         start = time.perf_counter()
-        sweeps = [
-            (theorems.a123_plus_b, "A1,A2,A3,B{i}", lambda i: 1),
-            (theorems.a12_plus_b, "A1,A2,B{i}", lambda i: 1),
-            (theorems.a123_plus_c, "A1,A2,A3,C{i}", lambda i: 1),
-            (theorems.a12_plus_c, "A1,A2,C{i}", lambda i: 1 if i == 3 else 2),
-            (theorems.a23_plus_b, "A2,A3,B{i}", lambda i: 1),
-            (theorems.a2_plus_b, "A2,B{i}", lambda i: 1),
-        ]
-        for fn, pattern, lo in sweeps:
+        for form in theorems.CONVERTER_FORMS:
             for i in range(1, 7):
-                support = Support.parse(pattern.format(i=i))
+                support = form.support(i)
                 hi = 4 if len(support) <= 5 else 3
-                for n in range(lo(i), hi + 1):
-                    assert fn(i, n) == count_dp(support, n), (fn.__name__, i, n)
-        for i in range(1, 7):
-            support = Support.parse(f"A1,A2,A3,A4,A5,B{i}")
-            for n in (2, 3):
-                assert theorems.a12345_plus_b(i, n) == count_dp(support, n)
+                for n in range(form.first[i - 1], hi + 1):
+                    assert form.count(i, n) == count_dp(support, n), (form.id, i, n)
         assert time.perf_counter() - start < 120.0
 
 

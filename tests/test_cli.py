@@ -18,6 +18,7 @@ from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import sweep
 from stdpuzzle.pieces import Support
 from stdpuzzle.sequences import REGISTRY, registry_matches
+from stdpuzzle.theorems import CONVERTER_FORMS
 
 
 def run(capsys, *argv):
@@ -567,6 +568,10 @@ def test_cold_commands_do_not_import_dataclasses():
                                       "verify", "skeleton")}
 
 
+# Every `theorem --id` but the aliases, and one alias.
+THEOREM_IDS = (*(form.id for form in CONVERTER_FORMS), "simple_piece", "thm44")
+
+
 @pytest.mark.parametrize("argv, message", (
     (["families", "--kind", "1", "--nmax", "200", "--x", "4"],
      "error: nmax must be in 1..24, got 200\n"),
@@ -575,16 +580,14 @@ def test_cold_commands_do_not_import_dataclasses():
     (["seq", "--name", "secant", "--upto", "501"],
      "error: seq secant takes 0 <= --start <= --upto <= 500, got --start 0, --upto 501\n"),
     (["theorem", "--id", "a12345b", "--n", "2000"],
-     "error: theorem a12345b (--i 1, --n 2000): "
-     "E(3998,1) out of range 0 <= k <= n <= 1000\n"),
+     "error: theorem a12345b (--i 1, --n 2000): n must be in 2..499, got 2000\n"),
     (["theorem", "--id", "a12345b", "--n", "501"],
-     "error: theorem a12345b (--i 1, --n 501): secant index 502 out of range 0..500\n"),
+     "error: theorem a12345b (--i 1, --n 501): n must be in 2..499, got 501\n"),
     (["theorem", "--id", "simple_piece", "--i", "10", "--n", "12"],
-     "error: theorem simple_piece (--i 10, --n 12): "
-     "n=13 exceeds the lattice-path bound 12\n"),
+     "error: theorem simple_piece (--i 10, --n 12): n must be in 1..11, got 12\n"),
     *((["theorem", "--id", theorem_id, "--n", "2001"],
        "error: --n 2001 exceeds the ceiling 2000\n")
-      for theorem_id in (*cli._THEOREM_FUNCS, "thm44")),
+      for theorem_id in THEOREM_IDS),
     (["count", "--support", "A2,A3", "--n", "101"],
      "error: --n 101 exceeds the ceiling 100\n"),
     (["count", "--support", "A2,A3", "--n", "100000", "--corner", "top=1"],
@@ -599,7 +602,7 @@ def test_cold_commands_do_not_import_dataclasses():
      "error: --n 10001 exceeds the ceiling 10000\n"),
 ), ids=("families", "seq", "secant", "entringer", "theorem-secant",
          "theorem-lattice-paths",
-        *(f"theorem-{t}" for t in (*cli._THEOREM_FUNCS, "thm44")),
+        *(f"theorem-{t}" for t in THEOREM_IDS),
         "count", "count-corner", "count-brute", "compose", "identify", "skeleton"))
 def test_inputs_past_a_ceiling_exit_2_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)

@@ -8,8 +8,9 @@ from stdpuzzle import families
 from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import sweep
 from stdpuzzle.pieces import Support
-from stdpuzzle.theorems import (SIMPLE_PIECES, CompositionQuery, a123_plus_b,
-                                compose, compose_support, simple_piece_row)
+from stdpuzzle.theorems import (CONVERTER_FORMS, SIMPLE_PIECES, CompositionQuery,
+                                compose, compose_support, resolve_theorem,
+                                simple_piece_row)
 from stdpuzzle.transforms import f1, f2
 
 DESCRIPTOR_KEYS = ("x", "converter_kind", "converter_subset", "z", "mirrored",
@@ -80,8 +81,24 @@ def test_single_family_prefix_matches_closed_form():
     row = next(r for r in sweep(1, 3, xs=[4])
                if r["converter_kind"] == "B" and r["converter_subset"] == "1"
                and not r["mirrored"])
-    assert [int(v) for v in row["prefix"]] == [a123_plus_b(1, n) for n in (1, 2, 3)]
+    _, a123b = resolve_theorem("a123b")
+    assert [int(v) for v in row["prefix"]] == [a123b(1, n) for n in (1, 2, 3)]
     assert row["match"] == "double_factorial_odd"
+
+
+def test_converter_forms_match_their_sweep_rows():
+    # Each CONVERTER_FORMS row is a family x plus one converter: its plain
+    # kind-1 sweep row, counted by the DP, from the form's first n on.
+    xs = list(dict.fromkeys(form.x for form in CONVERTER_FORMS))
+    rows = {(r["x"], r["converter_kind"], r["converter_subset"]): r
+            for r in sweep(1, 4, xs=xs) if not r["mirrored"]}
+    for form in CONVERTER_FORMS:
+        for i in range(1, 7):
+            row = rows[form.x, form.kind, str(i)]
+            assert row["support"] == str(form.support(i)), (form.id, i)
+            first = form.first[i - 1]
+            assert [int(v) for v in row["prefix"][first - 1:]] == \
+                [form.count(i, n) for n in range(first, 5)], (form.id, i)
 
 
 def test_sweep_rows_unique_and_duplicates_flagged():

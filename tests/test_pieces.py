@@ -10,7 +10,7 @@ from stdpuzzle.pieces import (EMPTY_SUPPORT, FULL_SUPPORT, PIECES, Puzzle,
                               reduce_window)
 from stdpuzzle.sequences import SequenceId
 from stdpuzzle.skeleton import SkeletonGraph
-from stdpuzzle.theorems import CompositionQuery, SimplePieceRow
+from stdpuzzle.theorems import CompositionQuery, ConverterForm, SimplePieceRow
 
 
 def test_piece_table_canonical_order():
@@ -156,7 +156,10 @@ def test_value_classes_compare_and_hash_by_fields():
          "CornerTable(columns=2, entries={(2, 3): 1, (2, 4): 1})"),
         (lambda: SimplePieceRow(2, a3, "1", abs), "count",
          "SimplePieceRow(x=2, support=Support.parse('A3'), sequence='1', "
-         "count=<built-in function abs>, refinement=None)"),
+         "count=<built-in function abs>, refinement=None, last=None)"),
+        (lambda: ConverterForm("a2b", "thm47", 19, "B", abs), "kind",
+         "ConverterForm(id='a2b', alias='thm47', x=19, kind='B', "
+         "formula=<built-in function abs>, first=(1, 1, 1, 1, 1, 1), last=None)"),
         (lambda: SequenceId("catalan", "A000108", abs), "name",
          "SequenceId(name='catalan', oeis='A000108', generator=<built-in function abs>, "
          "first=0, last=None)"),

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -6,14 +7,12 @@ from stdpuzzle import theorems
 from stdpuzzle.counting import (corner_table, count_bruteforce, count_dp,
                                 count_prefix)
 from stdpuzzle.pieces import Support
-from stdpuzzle.sequences import fibonacci
+from stdpuzzle.sequences import fibonacci, lattice_L
 from stdpuzzle.skeleton import all_simple_pieces
-from stdpuzzle.theorems import (CompositionQuery, SIMPLE_PIECES, a12_plus_b,
-                                a12_plus_c, a123_plus_b, a123_plus_c,
-                                a12345_plus_b, a2_plus_b, a23_plus_b, compose,
-                                compose_support, converter_image,
-                                px_refinement, q1, q2, q3, simple_piece_row,
-                                simple_piece_count, ty)
+from stdpuzzle.theorems import (CONVERTER_FORMS, CompositionQuery, SIMPLE_PIECES,
+                                compose, compose_support, converter_image,
+                                px_refinement, q1, q2, q3, resolve_theorem,
+                                simple_piece_row, simple_piece_count, ty)
 
 
 def test_simple_piece_table_rows():
@@ -32,77 +31,95 @@ def test_simple_piece_formulas_match_engine(x):
         assert simple_piece_count(x, n) == count_dp(support, n)
 
 
+FORMS = {form.id: form for form in CONVERTER_FORMS}
+
+
+def test_converter_form_table():
+    assert [(f.id, f.alias, f.x, f.kind) for f in CONVERTER_FORMS] == [
+        ("a123b", "thm42", 4, "B"), ("a12b", "thm43", 11, "B"),
+        ("a123c", "thm44", 4, "C"), ("a12c", None, 11, "C"),
+        ("a23b", "thm46", 17, "B"), ("a2b", "thm47", 19, "B"),
+        ("a12345b", "thm48", 8, "B")]
+    assert str(FORMS["a12c"].support(5)) == "A1,A2,C5"
+    assert str(FORMS["a12345b"].support(3)) == "A1,A2,A3,A4,A5,B3"
+    for name, resolved in (("thm44", "a123c"), ("a12c", "a12c"), ("thm48", "a12345b"),
+                           ("simple_piece", "simple_piece")):
+        assert resolve_theorem(name)[0] == resolved
+    assert resolve_theorem("simple_piece")[1] is simple_piece_count
+    with pytest.raises(ValueError, match="unknown theorem id 'thm45'"):
+        resolve_theorem("thm45")
+
+
 def test_a123_plus_b_values():
-    assert a123_plus_b(1, 2) == 20
-    assert a123_plus_b(4, 1) == 4
-    assert a123_plus_b(6, 2) == 27
+    a123b = FORMS["a123b"].count
+    assert a123b(1, 2) == 20
+    assert a123b(4, 1) == 4
+    assert a123b(6, 2) == 27
 
 
 def test_a12_plus_b_values():
-    assert a12_plus_b(1, 2) == 12
-    assert a12_plus_b(4, 1) == 3
-    assert a12_plus_b(6, 1) == 3
+    a12b = FORMS["a12b"].count
+    assert a12b(1, 2) == 12
+    assert a12b(4, 1) == 3
+    assert a12b(6, 1) == 3
 
 
 def test_two_converter_values():
-    assert a123_plus_c(3, 2) == 18
-    assert a12_plus_c(3, 2) == 10
-    assert a123_plus_c(1, 1) == 4
+    a123c, a12c = FORMS["a123c"].count, FORMS["a12c"].count
+    assert a123c(3, 2) == 18
+    assert a12c(3, 2) == 10
+    assert a123c(1, 1) == 4
     assert count_bruteforce(Support.parse("A1,A2,A3,C1"), 1) == 4
     # the n >= 2 families, frozen from the enumeration engines
-    assert [a12_plus_c(5, n) for n in (2, 3, 4)] == [15, 108, 1000]
+    assert [a12c(5, n) for n in (2, 3, 4)] == [15, 108, 1000]
 
 
 def test_a23_plus_b_values():
-    assert a23_plus_b(4, 2) == 10
-    assert a23_plus_b(3, 2) == 7
-    assert a23_plus_b(1, 1) == 3
+    a23b = FORMS["a23b"].count
+    assert a23b(4, 2) == 10
+    assert a23b(3, 2) == 7
+    assert a23b(1, 1) == 3
     assert count_bruteforce(Support.parse("A2,A3,B1"), 1) == 3
     # repaired closed form for the B5 family
-    assert [a23_plus_b(5, n) for n in (1, 2, 3, 4)] == [3, 12, 49, 198]
+    assert [a23b(5, n) for n in (1, 2, 3, 4)] == [3, 12, 49, 198]
 
 
 def test_a2_plus_b_values():
-    assert a2_plus_b(2, 2) == 4
-    assert a2_plus_b(4, 2) == 4
+    a2b = FORMS["a2b"].count
+    assert a2b(2, 2) == 4
+    assert a2b(4, 2) == 4
     # catalan(n) + catalan(n-1), pinned by enumeration (3, not 2, at n=2)
-    assert a2_plus_b(3, 2) == 3
+    assert a2b(3, 2) == 3
     assert count_bruteforce(Support.parse("A2,B3"), 2) == 3
 
 
 @pytest.mark.parametrize("i", range(1, 7))
 def test_one_converter_forms_match_engine(i):
-    checks = [
-        (a123_plus_b, f"A1,A2,A3,B{i}", 1),
-        (a12_plus_b, f"A1,A2,B{i}", 1),
-        (a123_plus_c, f"A1,A2,A3,C{i}", 1),
-        (a12_plus_c, f"A1,A2,C{i}", 1 if i == 3 else 2),
-        (a23_plus_b, f"A2,A3,B{i}", 1),
-        (a2_plus_b, f"A2,B{i}", 1),
-    ]
-    for fn, codes, lo in checks:
-        support = Support.parse(codes)
-        for n in range(lo, 5):
-            assert fn(i, n) == count_dp(support, n), (fn.__name__, i, n)
+    for form in CONVERTER_FORMS:
+        support = form.support(i)
+        for n in range(form.first[i - 1], 5):
+            assert form.count(i, n) == count_dp(support, n), (form.id, i, n)
 
 
 def test_entringer_family_values():
-    assert [a12345_plus_b(i, 2) for i in range(1, 7)] == [75, 73, 70, 73, 75, 75]
-    for i in range(1, 7):
-        support = Support.parse(f"A1,A2,A3,A4,A5,B{i}")
-        for n in (2, 3):
-            assert a12345_plus_b(i, n) == count_dp(support, n)
+    a12345b = FORMS["a12345b"].count
+    assert [a12345b(i, 2) for i in range(1, 7)] == [75, 73, 70, 73, 75, 75]
+    assert a12345b(1, 499) > 0  # the last n whose secant term exists
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        a12345_plus_b(1, 1)
-    with pytest.raises(ValueError):
-        a12_plus_c(1, 1)
-    with pytest.raises(ValueError):
-        a123_plus_b(7, 2)
-    with pytest.raises(ValueError):
-        simple_piece_count(5, 0)
+    for count, i, n, message in (
+            (FORMS["a12345b"].count, 1, 1, "n must be in 2..499, got 1"),
+            (FORMS["a12345b"].count, 1, 500, "n must be in 2..499, got 500"),
+            (FORMS["a12c"].count, 1, 1, "n must be >= 2, got 1"),
+            (FORMS["a123b"].count, 7, 2, "converter index 7 out of range 1..6"),
+            (simple_piece_count, 5, 0, "n must be >= 1, got 0"),
+            (simple_piece_count, 8, 500, "n must be in 1..499, got 500"),
+            (simple_piece_count, 10, 12, "n must be in 1..11, got 12")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count(i, n)
+    assert simple_piece_count(9, 499) == simple_piece_count(8, 499)
+    assert simple_piece_count(10, 11) == lattice_L(12)
 
 
 def test_converter_image_map():

@@ -91,9 +91,15 @@ def test_identity_claims_count_each_support_once(counted_masks, claim, passes, v
     ("fibonacci", ["A1,B1,C1", "B1,C1,D1"]),
     ("linear-family", ["A1,B1,D1", "A1,C1,D1"]),
     ("whirlpool", ["A1,A4,B3,B6,C3,C6,D1,D4"]),
+    ("converter-closed-forms",
+     [f"{family},{converter}{i}" for i in range(1, 7) for family, converter in (
+         ("A1,A2,A3", "B"), ("A1,A2", "B"), ("A1,A2,A3", "C"), ("A1,A2", "C"),
+         ("A2,A3", "B"), ("A2", "B"))]),
+    ("entringer-closed-forms", [f"A1,A2,A3,A4,A5,B{i}" for i in range(1, 7)]),
 ))
 def test_formula_claims_count_the_supports_they_name(counted_masks, claim, supports):
     # Families 17 and 18 share their counts, so only the supports a claim
     # hands the engine show which family it checks.
     assert run_verification([claim], nmax=3).results[0].status == STATUS_PASS
     assert set(counted_masks) == {Support.parse(codes).mask for codes in supports}
+    assert len(set(counted_masks)) == len(supports)
