@@ -6,9 +6,10 @@ and the classic families come out: Catalan numbers, double factorials,
 secant numbers, smooth lattice paths, Fibonacci, whirlpool permutations.
 """
 
+from itertools import islice
 from math import factorial
 
-from stdpuzzle import (FULL_SUPPORT, Support, corner_table, count_bruteforce,
+from stdpuzzle import (FULL_SUPPORT, Support, corner_tables, count_bruteforce,
                        count_dp, count_prefix, double_factorial,
                        enumerate_puzzles, fibonacci, lattice_L, secant,
                        whirlpool_W)
@@ -53,10 +54,11 @@ for p in enumerate_puzzles(Support.parse("A2,A3"), 2):
     print("  ", p)
 
 print()
-print("Corner refinement (counts by the last column's rank pair), 3 columns")
-print("over {A1,A2,A3}:")
-table = corner_table(Support.parse("A1,A2,A3"), 3)
-for (u, v), count in sorted(table.entries.items()):
-    print(f"  bottom-right rank {u}, top-right rank {v}: {count}")
-print("  total:", table.total(), "= count of 2-piece puzzles",
+print("Corner refinement (counts by the last column's rank pair) over")
+print("{A1,A2,A3}, for 1..3 columns from one walk of the DP:")
+for table in islice(corner_tables(Support.parse("A1,A2,A3")), 3):
+    print(f"  {table.columns} column(s):")
+    for (u, v), count in sorted(table.entries.items()):
+        print(f"    bottom-right rank {u}, top-right rank {v}: {count}")
+print("  3-column total:", table.total(), "= count of 2-piece puzzles",
       count_dp(Support.parse("A1,A2,A3"), 2))

@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.  A name's submodule is
 # imported on first access (PEP 562), so `import stdpuzzle` loads none.
 _EXPORTS = (
-    dict.fromkeys(("CornerTable", "corner_table", "count_bruteforce",
-                   "count_corner_bottom", "count_corner_top", "count_dp",
-                   "count_prefix", "enumerate_puzzles"), "counting")
+    dict.fromkeys(("CornerTable", "corner_table", "corner_tables",
+                   "count_bruteforce", "count_corner_bottom", "count_corner_top",
+                   "count_dp", "count_prefix", "enumerate_puzzles"), "counting")
     | dict.fromkeys(("EMPTY_SUPPORT", "FULL_SUPPORT", "PIECES", "Puzzle",
                      "StandardPiece", "Support", "is_supported",
                      "minimal_support", "piece", "piece_table", "pieces_of",

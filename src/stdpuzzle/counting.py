@@ -16,17 +16,17 @@ classes 24 occur, and each of the 24 pieces is exactly one class.
 representative ranks of every class with `reduce_window`, holds each
 piece's class as a rectangle.
 
-Layers.  The DP keeps the corner-count table of each column count.  A
-new cell (u', v') collects every old state whose class is a piece of the
-support, and a class is a rectangle of old states (zone x zone) within
-one half of the table (u < v or u > v).  With a 2D prefix sum of each
-half, a rectangle is four lookups at the cuts 0, lo-1, hi-2, 2m, and the
+Layers.  `corner_tables` is the one walk over the corner-count tables
+m = 1, 2, ..., and `_step` builds each from the one before.  A new cell
+(u', v') collects every old state whose class is a piece of the support,
+and a class is a rectangle of old states (zone x zone) within one half of
+the table (u < v or u > v).  With a 2D prefix sum of each half, a
+rectangle is four lookups at the cuts 0, lo-1, hi-2, 2m, and the
 rectangles of one orientation collapse to at most 18 signed lookups
-(`_corner_terms`).  A layer thus costs O(m^2) additions of big integers
-where the per-state scan cost O(m^4); it is the 2D form of the
-boustrophedon recurrence behind Entringer numbers.  One pass over the
-layers yields the whole count prefix, and once a layer is empty every
-later one is too.
+(`_corner_terms`).  A step thus costs O(m^2) additions of big integers
+where the per-state scan cost O(m^4): the 2D form of the boustrophedon
+recurrence behind Entringer numbers.  A caller that wants several m
+walks once, and after an empty table no step runs.
 
 The brute-force engine sums the paths through its own moves layer by
 layer (and walks them to materialize the puzzles).  `_moves` builds the
@@ -101,28 +101,23 @@ def _prefix_sums(layer: Mapping[tuple[int, int], int],
     return grids
 
 
-def _layers(mask: int) -> Iterator[Mapping[tuple[int, int], int]]:
-    """Corner-count tables after m = 1, 2, ... columns, each built from
-    the one before; only positive counts are stored."""
-    orientations = [(up, _corner_terms(mask, up)) for up in (True, False)]
-    layer: Mapping[tuple[int, int], int] = {(1, 2): 1, (2, 1): 1}
-    for m in count(1):
-        yield layer
-        if not layer:
-            continue  # a dead support stays dead
-        size = 2 * m
-        sums = _prefix_sums(layer, size)
-        out: dict[tuple[int, int], int] = {}
-        for lo in range(1, size + 2):
-            for hi in range(lo + 1, size + 3):
-                cuts = (0, lo - 1, hi - 2, size)
-                for up, terms in orientations:
-                    cell = 0
-                    for coef, half, i, j in terms:
-                        cell += coef * sums[half][cuts[i]][cuts[j]]
-                    if cell:
-                        out[(lo, hi) if up else (hi, lo)] = cell
-        layer = out
+def _step(layer: Mapping[tuple[int, int], int], m: int,
+          orientations: list) -> dict[tuple[int, int], int]:
+    """The table after m + 1 columns from the one after m, `layer`, with
+    `orientations` = [(up, `_corner_terms`(mask, up))]; positive counts only."""
+    size = 2 * m
+    sums = _prefix_sums(layer, size)
+    out: dict[tuple[int, int], int] = {}
+    for lo in range(1, size + 2):
+        for hi in range(lo + 1, size + 3):
+            cuts = (0, lo - 1, hi - 2, size)
+            for up, terms in orientations:
+                cell = 0
+                for coef, half, i, j in terms:
+                    cell += coef * sums[half][cuts[i]][cuts[j]]
+                if cell:
+                    out[(lo, hi) if up else (hi, lo)] = cell
+    return out
 
 
 class CornerTable(NamedTuple):
@@ -152,23 +147,32 @@ def _check_rank(x: int, columns: int) -> None:
         raise ValueError(f"rank {x} out of range 1..{2 * columns}")
 
 
+def corner_tables(support: Support) -> Iterator[CornerTable]:
+    """The corner tables after m = 1, 2, ... columns, each built from the
+    one before by `_step`; an empty table is followed by empty tables."""
+    orientations = [(up, _corner_terms(support.mask, up)) for up in (True, False)]
+    layer: Mapping[tuple[int, int], int] = {(1, 2): 1, (2, 1): 1}
+    for m in count(1):
+        yield CornerTable(m, layer)
+        if layer:  # a dead support stays dead
+            layer = _step(layer, m, orientations)
+
+
 def corner_table(support: Support, m: int) -> CornerTable:
     """The DP table after m columns (m-1 pieces)."""
     if m < 1:
         raise ValueError("corner_table needs m >= 1")
-    last = next(islice(_layers(support.mask), m - 1, None))
-    return CornerTable(m, dict(last))
+    return next(islice(corner_tables(support), m - 1, None))
 
 
 def count_prefix(support: Support, nmax: int) -> list[int]:
     """Counts of supported n-puzzles for n = 1..nmax, from one DP pass.
 
-    Nothing is cached: each call runs the DP afresh on `support.mask`.
+    Nothing is cached: each call walks `corner_tables` afresh.
     """
     if nmax < 1:
         raise ValueError("puzzles need n >= 1 pieces")
-    return [sum(layer.values())
-            for layer in islice(_layers(support.mask), 1, nmax + 1)]
+    return [table.total() for table in islice(corner_tables(support), 1, nmax + 1)]
 
 
 def count_dp(support: Support, n: int) -> int:

@@ -14,10 +14,11 @@ at MATCH_HEAD.  `_match_table(m)` is built once per m and asks each
 generator only for terms 1..m + max(MATCH_OFFSETS).  A longer prefix is
 looked up by its first MATCH_HEAD terms, and only the hits that survive
 have their later terms checked, against generator values memoised per
-(sequence, index); a window past its row's `last` is no match.  So
-a term such as lattice_L(12) is evaluated only while some prefix still
-matches the lattice numbers, and a prefix of at most MATCH_HEAD terms
-costs one dict lookup.
+(sequence, index).  A head window past its row's `last` is no match,
+and a later term past it ends the check, which each hit reports as its
+`checked_through`.  So a term such as lattice_L(12) is evaluated only
+while some prefix still matches the lattice numbers, and a prefix of at
+most MATCH_HEAD terms costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -265,23 +266,28 @@ def _match_table(length: int) -> dict[tuple[int, ...], list[tuple]]:
     return table
 
 
-def _tail_matches(seq: SequenceId, offset: int, factor: Fraction,
-                  prefix: list[int]) -> bool:
-    """Whether prefix terms MATCH_HEAD + 1.. equal factor * seq shifted by offset."""
+def _checked_through(seq: SequenceId, offset: int, factor: Fraction,
+                     prefix: list[int]) -> Optional[int]:
+    """The last n through which prefix term n equals factor * seq at
+    offset + n, or None on a mismatch; past MATCH_HEAD, the first term
+    past seq.last ends the comparison."""
     for n in range(MATCH_HEAD + 1, len(prefix) + 1):
         t = _term(seq, offset + n)
-        if t is None or t * factor.numerator != prefix[n - 1] * factor.denominator:
-            return False
-    return True
+        if t is None:
+            return n - 1
+        if t * factor.numerator != prefix[n - 1] * factor.denominator:
+            return None
+    return len(prefix)
 
 
 def registry_matches(prefix: list[int]) -> list[dict]:
     """Registry hits for a count prefix s_1, s_2, ..., ranked plain-first.
 
-    Each hit is a fresh dict, which the caller may change.
+    Each hit is a fresh dict, which the caller may change; its
+    "checked_through" is the last n compared.
     """
     if not prefix:
         return []
     hits = _match_table(min(len(prefix), MATCH_HEAD)).get(tuple(prefix[:MATCH_HEAD]), ())
-    return [dict(hit) for seq, offset, factor, hit in hits
-            if _tail_matches(seq, offset, factor, prefix)]
+    return [dict(hit, checked_through=n) for seq, offset, factor, hit in hits
+            if (n := _checked_through(seq, offset, factor, prefix))]

@@ -23,11 +23,11 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, NamedTuple, Sequence
 
 from . import families, theorems
-from .counting import (corner_table, count_bruteforce, count_dp,
+from .counting import (corner_tables, count_bruteforce, count_dp,
                        count_prefix)
 from .pieces import PIECES, Support, reduce_window
 from .sequences import (catalan_triangle_t, double_factorial, entringer,
@@ -145,15 +145,13 @@ def _secant(hi: int) -> tuple[list, list]:
 
 def _corner_refinements(hi: int) -> tuple[list, list]:
     computed, expected = [], []
-    a123 = Support.parse("A1,A2,A3")
-    for n in range(1, hi + 1):
-        table = corner_table(a123, n + 1)
+    for table in islice(corner_tables(Support.parse("A1,A2,A3")), 1, hi + 1):
+        n = table.columns - 1
         for k in range(1, n + 2):
             computed.append(table.bottom_sum(2 * n - k + 2))
             expected.append(triangle_T(n, k))
-    a23 = Support.parse("A2,A3")
-    for n in range(1, hi + 1):
-        table = corner_table(a23, n + 1)
+    for table in islice(corner_tables(Support.parse("A2,A3")), 1, hi + 1):
+        n = table.columns - 1
         for k in range(0, n + 1):
             computed.append(table.bottom_sum(n + k + 1))
             expected.append(catalan_triangle_t(n, k))
@@ -161,10 +159,9 @@ def _corner_refinements(hi: int) -> tuple[list, list]:
 
 
 def _corner_entringer(hi: int) -> tuple[list, list]:
-    s = Support.parse("A1,A2,A3,A4,A5")
     computed, expected = [], []
-    for n in range(1, hi + 1):
-        table = corner_table(s, n + 1)
+    for table in islice(corner_tables(Support.parse("A1,A2,A3,A4,A5")), 1, hi + 1):
+        n = table.columns - 1
         for x in range(1, 2 * n + 3):
             computed.append(table.bottom_sum(x))
             expected.append(entringer(2 * n + 1, 2 * n + 2 - x))
@@ -248,12 +245,11 @@ def _refinement_table(hi: int) -> tuple[list, list]:
     for row in theorems.SIMPLE_PIECES:
         if row.refinement is None:
             continue
-        for m in range(1, hi + 2):
-            table = corner_table(row.support, m).entries
+        for m, entries in islice(corner_tables(row.support), hi + 1):
             for i in range(1, 2 * m):
                 for j in range(1, 2 * m - i + 1):
                     computed.append(theorems.px_refinement(row.x, i, j, m))
-                    expected.append(table.get((i, i + j), 0))
+                    expected.append(entries.get((i, i + j), 0))
     return computed, expected
 
 

@@ -9,11 +9,11 @@ pairs of the sequences module.
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 from stdpuzzle import theorems
-from stdpuzzle.counting import (corner_table, count_bruteforce,
+from stdpuzzle.counting import (corner_tables, count_bruteforce,
                                 count_corner_bottom, count_dp, count_prefix,
                                 enumerate_puzzles)
 from stdpuzzle.pieces import PIECES, Support
@@ -208,12 +208,11 @@ def test_c11_refinement_table():
         for row in theorems.SIMPLE_PIECES:
             if row.refinement is None:
                 continue
-            for m in range(1, 5):
-                table = corner_table(row.support, m).entries
+            for m, entries in islice(corner_tables(row.support), 4):
                 for i in range(1, 2 * m):
                     for j in range(1, 2 * m + 1 - i):
                         assert theorems.px_refinement(row.x, i, j, m) == \
-                            table.get((i, i + j), 0), (row.x, i, j, m)
+                            entries.get((i, i + j), 0), (row.x, i, j, m)
 
 
 def aligned(letters, alpha) -> Support:

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -287,6 +288,17 @@ def test_identify_lattice_family(capsys):
                for m in payload["matches"])
 
 
+@pytest.mark.parametrize("nmax", (12, 16))
+def test_identify_keeps_a_match_past_the_sequences_last_term(capsys, nmax):
+    # lattice_L stops at LATTICE_BOUND = 12, which offset 1 reaches at n = 11;
+    # the terms past it end the comparison instead of failing it.
+    payload = run_json(capsys, "identify", "--support", "A1,A2,A4,A5",
+                       "--nmax", str(nmax))
+    assert payload["matches"] == [
+        {"name": "lattice_smooth_paths", "oeis": "A227656", "offset": 1,
+         "factor": "1", "label": "candidate match", "checked_through": 11}]
+
+
 def test_identify_open_family_has_no_match(capsys):
     payload = run_json(capsys, "identify", "--support", "A1,A3", "--nmax", "6")
     assert payload["matches"] == []
@@ -539,7 +551,7 @@ def test_commands_import_only_the_modules_they_run():
                                        "stdpuzzle.counting", "stdpuzzle.pieces",
                                        "stdpuzzle.sequences", "stdpuzzle.skeleton"]
     # Every public name resolves, and `import *` binds exactly those.
-    assert len(probe["all"]) == 49 and probe["star"] == sorted(probe["all"])
+    assert len(probe["all"]) == 50 and probe["star"] == sorted(probe["all"])
     assert run_probe(_CLOSED_FORM_PROBE) == [
         [0, 0], ["stdpuzzle", "stdpuzzle.cli", "stdpuzzle.pieces", "stdpuzzle.sequences",
                  "stdpuzzle.theorems", "stdpuzzle.transforms"]]
@@ -667,3 +679,21 @@ def test_empty_csv_table_prints_nothing(capsys):
                        "--n", "2")
     assert code == 0 and out == ""
 
+
+
+def _digest_script():
+    """tests/golden/make_cli_digests.py, which lists the pinned command lines."""
+    path = Path(__file__).parent / "golden" / "make_cli_digests.py"
+    spec = importlib.util.spec_from_file_location("make_cli_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_DIGEST_SCRIPT = _digest_script()
+
+
+@pytest.mark.parametrize("line", _DIGEST_SCRIPT.COMMANDS)
+def test_cli_output_matches_its_digest(line):
+    pinned = json.loads(_DIGEST_SCRIPT.DIGESTS.read_text())
+    assert _DIGEST_SCRIPT.digest(line) == pinned[line]

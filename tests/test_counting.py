@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb, factorial
 from pathlib import Path
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stdpuzzle import counting
-from stdpuzzle.counting import (corner_table, count_bruteforce,
+from stdpuzzle.counting import (corner_table, corner_tables, count_bruteforce,
                                 count_corner_bottom, count_corner_top,
                                 count_dp, count_prefix, enumerate_puzzles)
 from stdpuzzle.pieces import (FULL_SUPPORT, PIECES, Support, is_supported,
@@ -76,15 +76,62 @@ def test_brute_force_does_not_read_the_piece_rectangles(text, monkeypatch):
     expected = [naive_count(support, n) for n in (1, 2, 3)]
     monkeypatch.setattr(counting, "_PIECE_RECTANGLES", [(None, {})] * 24)
 
-    def no_dp(mask):
+    def no_dp(*args):
         raise AssertionError("the brute force ran the DP")
 
-    monkeypatch.setattr(counting, "_layers", no_dp)
+    monkeypatch.setattr(counting, "corner_tables", no_dp)
+    monkeypatch.setattr(counting, "_step", no_dp)
     assert [count_bruteforce(support, n) for n in (1, 2, 3)] == expected
     listed = enumerate_puzzles(support, 3)
     assert len(listed) == expected[-1]
     assert all(is_supported(p, support) for p in listed)
     assert len(set(listed)) == len(listed)
+
+
+def cut_placements(m):
+    """How the ranks u, v of each state over 2m labels sit against the cuts
+    (0, lo-1, hi-2, 2m) of each new column: below a cut, at it, one above
+    it or further above, with u < v and u' < v'."""
+    def place(r, cut):
+        return max(-1, min(2, r - cut))
+    seen = set()
+    for u2, v2 in permutations(range(1, 2 * m + 3), 2):
+        lo, hi = min(u2, v2), max(u2, v2)
+        cuts = (0, lo - 1, hi - 2, 2 * m)
+        seen.update((u < v, u2 < v2, *(place(r, c) for r in (u, v) for c in cuts))
+                    for u, v in permutations(range(1, 2 * m + 1), 2))
+    return seen
+
+
+def test_step_certificate():
+    """`_step` against the definition, one piece and one state at a time:
+    for each piece p, m = 1..3 and each state (u, v) over 2m labels, the
+    step of {(u, v): 1} under the support {p} holds exactly the columns
+    (u', v') whose window, relabelled by `_relabel`, `reduce_window` maps
+    to p, each once.
+
+    Why m <= 3 covers every m: the step is linear in its layer, so unit
+    states suffice, and on a unit state a cell reads only where u and v
+    sit against the cuts.  Every class (zone of u, zone of v, u < v,
+    u' < v') occurs at m = 1 already; to within one rank of every cut,
+    all 404 placements occur by m = 3, and m = 4 adds none, so a cut off
+    by one is caught too."""
+    covered = set().union(*map(cut_placements, (1, 2, 3)))
+    assert len(covered) == 404 and cut_placements(4) <= covered
+    steps = [[(up, counting._corner_terms(1 << p, up)) for up in (True, False)]
+             for p in range(24)]
+    checks = 0
+    for m in (1, 2, 3):
+        size = 2 * m + 2
+        for u, v in permutations(range(1, 2 * m + 1), 2):
+            expected = [{} for _ in range(24)]
+            for u2, v2 in permutations(range(1, size + 1), 2):
+                new = counting._relabel(u2, v2, size)
+                expected[reduce_window(new[v - 1], v2, new[u - 1], u2).ordinal][u2, v2] = 1
+            for p, orientations in enumerate(steps):
+                assert counting._step({(u, v): 1}, m, orientations) == expected[p], (p, m, u, v)
+                checks += 1
+    assert checks == 1056
 
 
 def test_each_piece_rectangle_is_pinned():
@@ -195,8 +242,8 @@ def test_corner_table_single_column():
 def test_corner_table_total_matches_count():
     for text in ("A2,A3", "A1,B1,C1", "A1,A4,B3,B6,C3,C6,D1,D4"):
         support = Support.parse(text)
-        for m in (2, 3, 4):
-            assert corner_table(support, m).total() == count_dp(support, m - 1)
+        for table in islice(corner_tables(support), 1, 4):
+            assert table.total() == count_dp(support, table.columns - 1)
 
 
 def test_corner_sums_partition_the_count():
@@ -239,9 +286,10 @@ def test_corner_rank_range():
 
 
 def test_corner_rank_refused_before_any_dp_layer(monkeypatch):
-    def no_layers(mask):
+    def no_layers(*args):
         raise AssertionError("a DP layer was built")
-    monkeypatch.setattr(counting, "_layers", no_layers)
+    monkeypatch.setattr(counting, "corner_tables", no_layers)
+    monkeypatch.setattr(counting, "_step", no_layers)
     for corner in (count_corner_bottom, count_corner_top):
         for x in (0, 123, 999):
             with pytest.raises(ValueError, match=f"rank {x} out of range 1..122"):

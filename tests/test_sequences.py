@@ -1,5 +1,5 @@
 import math
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,19 +295,23 @@ def registry_term(seq, i):
 
 def naive_registry_matches(prefix):
     """Reference: every registry sequence at every offset and factor,
-    compared term by term with Fraction products, ranked plain-first."""
+    compared term by term with Fraction products, ranked plain-first.
+    The first MATCH_HEAD terms must lie in the generator's domain; past
+    them, the first term outside it ends the comparison."""
     if not prefix:
         return []
     hits = []
     for seq in REGISTRY:
         for offset in MATCH_OFFSETS:
             terms = [registry_term(seq, n + offset) for n in range(1, len(prefix) + 1)]
-            if None in terms:
+            if None in terms[:MATCH_HEAD]:
                 continue
+            terms = list(takewhile(lambda t: t is not None, terms))
             for factor in MATCH_FACTORS:
                 if all(factor * t == s for t, s in zip(terms, prefix)):
                     hits.append({"name": seq.name, "oeis": seq.oeis, "offset": offset,
-                                 "factor": str(factor), "label": "candidate match"})
+                                 "factor": str(factor), "label": "candidate match",
+                                 "checked_through": len(terms)})
     hits.sort(key=lambda h: (h["factor"] != "1", h["offset"], h["name"]))
     return hits
 

@@ -1,10 +1,10 @@
 import re
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from stdpuzzle import theorems
-from stdpuzzle.counting import (corner_table, count_bruteforce, count_dp,
+from stdpuzzle.counting import (corner_tables, count_bruteforce, count_dp,
                                 count_prefix)
 from stdpuzzle.pieces import Support
 from stdpuzzle.sequences import fibonacci, lattice_L
@@ -161,11 +161,10 @@ def test_px_refinement_values():
 @pytest.mark.parametrize("x", [x for x in range(1, 21) if x != 10])
 def test_px_refinement_matches_corner_tables(x):
     support = simple_piece_row(x).support
-    for m in range(1, 7):
-        table = corner_table(support, m).entries
+    for m, entries in islice(corner_tables(support), 6):
         for i in range(1, 2 * m):
             for j in range(1, 2 * m + 1 - i):
-                assert px_refinement(x, i, j, m) == table.get((i, i + j), 0), \
+                assert px_refinement(x, i, j, m) == entries.get((i, i + j), 0), \
                     (x, i, j, m)
     # The table stores only nonzero refinements.
     build = simple_piece_row(x).refinement
