@@ -6,7 +6,7 @@ Structured results go to stdout as JSON (or CSV with --format csv);
 human-oriented progress lines go to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 I/O error, 4 a computation that
 could not finish (a failed internal cross-check, too deep a recursion or
-no memory left).
+no memory left) or an internal fault (a failed lookup, KeyError).
 
 Each handler still imports only the modules it runs, so a command loads
 only those.
@@ -261,7 +261,7 @@ def cmd_identify(args) -> int:
                "prefix": [str(v) for v in prefix], "matches": registry_matches(prefix)}
     _emit(args, payload, csv_rows=payload["matches"] or
           [{"name": "", "oeis": "", "offset": "", "factor": "",
-            "label": "no registry match"}])
+            "label": "no registry match", "checked_through": ""}])
     return 0
 
 
@@ -390,13 +390,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (RuntimeError, MemoryError) as exc:  # RecursionError is a RuntimeError
+    except (RuntimeError, MemoryError, KeyError) as exc:  # RecursionError is a RuntimeError
         detail = f": {exc}" if str(exc) else ""
         print(f"error: {type(exc).__name__}{detail}", file=sys.stderr)
         return 4

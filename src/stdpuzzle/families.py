@@ -8,10 +8,9 @@ Two sweep kinds, mirroring how the 51072 enumerable families arise:
            19 * 19 * 64 * 2 descriptors.
 
 A group is the descriptors that differ only in their converter subset S:
-one (x, z, converter kind, mirrored).  A puzzle of a converter family
-changes orientation at one converter window at most (the one-junction
-rule behind `theorems.compose`), so converter effects add up: for the
-lowest converter y in S,
+one (x, z, converter kind, mirrored).  Converter effects add up (the
+lemma `verify`'s `converter-additivity` claim states and checks): for
+the lowest converter y in S,
 
   prefix(S) = prefix(S - {y}) + prefix({y}) - prefix({}).
 
@@ -34,10 +33,8 @@ A group's base is `theorems.glued_support(x, z)`, the support to which
 f2 image, as `compose`'s C support is the f2 image of its B support.
 
 A row's prefix therefore rests on three things: the DP, additivity,
-which the `converter-additivity` claim of `verify` checks by recounting a
-sample of added rows directly, and flip invariance, which the
-`flip-invariance` claim checks by counting supports and their f1, f2 and
-f3 images in separate DP runs.
+and flip invariance, which the `flip-invariance` claim checks by
+counting supports and their f1, f2 and f3 images in separate DP runs.
 
 Family 10 (the smooth-lattice-path family) has no refinement formula; it
 is excluded by default and included, flagged, on request.  A sweep's

@@ -230,20 +230,13 @@ MATCH_OFFSETS = (0, 1, 2, 3)
 #: Prefix terms the match table is keyed on; later terms are checked per hit.
 MATCH_HEAD = 4
 
-_TERMS: dict[tuple[str, int], int] = {}
-
-
+@functools.cache
 def _term(seq: SequenceId, i: int) -> Optional[int]:
     """seq's term at index i, or None past seq.last; memoised."""
-    if seq.last is not None and i > seq.last:
-        return None
-    key = (seq.name, i)
-    if key not in _TERMS:
-        _TERMS[key] = seq.generator(i)
-    return _TERMS[key]
+    return None if seq.last is not None and i > seq.last else seq.generator(i)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _match_table(length: int) -> dict[tuple[int, ...], list[tuple]]:
     """Registry hits for prefixes of length `length`, keyed by the prefix:
     (sequence, offset, factor, hit) per window, ranked plain-first."""

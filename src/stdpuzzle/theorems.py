@@ -414,10 +414,11 @@ def compose_support(query: CompositionQuery) -> Support:
 def compose(query: CompositionQuery) -> int:
     """Count puzzles over the glued support by the triple-sum rule.
 
-    Splits every mixed puzzle at the unique orientation change: the left
-    part is an x-family puzzle with m columns ending with ranks (i, i+j),
-    the junction window is the converter, the right part mirrors a
-    z-family puzzle with p = n+1-m columns starting with ranks (k, k+l).
+    Splits every mixed puzzle at its one orientation change (the lemma
+    of `verify._converter_additivity`): the left part is an x-family
+    puzzle with m columns ending with ranks (i, i+j), the junction window
+    is the converter, the right part mirrors a z-family puzzle with
+    p = n+1-m columns starting with ranks (k, k+l).
     Unmixed puzzles contribute the two family counts.
 
     The sum does not depend on the converter kind: the C support is `f2`

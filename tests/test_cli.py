@@ -307,7 +307,10 @@ def test_identify_open_family_has_no_match(capsys):
     assert code == 0
     assert list(csv.DictReader(io.StringIO(out))) == [
         {"name": "", "oeis": "", "offset": "", "factor": "",
-         "label": "no registry match"}]
+         "label": "no registry match", "checked_through": ""}]
+    # so the CSV of several runs stacks under one header
+    _, hit, _ = run(capsys, "--format", "csv", "identify", "--support", "A2,A3")
+    assert hit.splitlines()[0] == out.splitlines()[0]
 
 
 def test_identify_needs_enough_terms(capsys):
@@ -491,7 +494,10 @@ MINIMAL_ARGV = {
     (RecursionError("maximum recursion depth exceeded"), 4,
      "error: RecursionError: maximum recursion depth exceeded\n"),
     (MemoryError(), 4, "error: MemoryError\n"),
-), ids=("ValueError", "OSError", "RuntimeError", "RecursionError", "MemoryError"))
+    # No user value reaches a lookup unchecked, so a KeyError is a fault.
+    (KeyError("x"), 4, "error: KeyError: 'x'\n"),
+), ids=("ValueError", "OSError", "RuntimeError", "RecursionError", "MemoryError",
+        "KeyError"))
 @pytest.mark.parametrize("command", cli.build_parser()[1])
 def test_every_subcommand_maps_a_handler_failure_to_its_exit_code(
         monkeypatch, capsys, command, exc, code, message):
@@ -513,10 +519,14 @@ after_count = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     main(["identify", "--support", "A2,A3", "--nmax", "5"])
 after_identify = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["verify", "--nmax", "1"])
+after_verify = loaded()
 star = {}
 exec("from stdpuzzle import *", star)
 print(json.dumps({"bare": bare, "code": code, "out": out.getvalue(),
                   "after_count": after_count, "after_identify": after_identify,
+                  "after_verify": after_verify,
                   "all": stdpuzzle.__all__,
                   "star": sorted(k for k in star if k != "__builtins__")}))
 """
@@ -550,6 +560,9 @@ def test_commands_import_only_the_modules_they_run():
     assert probe["after_identify"] == ["stdpuzzle", "stdpuzzle.cli",
                                        "stdpuzzle.counting", "stdpuzzle.pieces",
                                        "stdpuzzle.sequences", "stdpuzzle.skeleton"]
+    # verify's claims load every module but the sweep's.
+    assert probe["after_verify"] == probe["after_identify"] + [
+        "stdpuzzle.theorems", "stdpuzzle.transforms", "stdpuzzle.verify"]
     # Every public name resolves, and `import *` binds exactly those.
     assert len(probe["all"]) == 50 and probe["star"] == sorted(probe["all"])
     assert run_probe(_CLOSED_FORM_PROBE) == [
@@ -691,6 +704,12 @@ def _digest_script():
 
 
 _DIGEST_SCRIPT = _digest_script()
+
+
+def test_digest_file_pins_exactly_the_listed_commands():
+    # A line dropped from COMMANDS must not leave a digest no test reads.
+    pinned = json.loads(_DIGEST_SCRIPT.DIGESTS.read_text())
+    assert list(pinned) == list(_DIGEST_SCRIPT.COMMANDS)
 
 
 @pytest.mark.parametrize("line", _DIGEST_SCRIPT.COMMANDS)

@@ -378,9 +378,21 @@ def test_registry_matches_returns_fresh_hits():
 
 
 def test_identify_evaluates_no_lattice_term_past_the_head(monkeypatch):
-    monkeypatch.setattr(sequences, "_TERMS", {})
+    evaluated = []
+
+    def recorded(seq):
+        def generator(i):
+            evaluated.append(i)
+            return seq.generator(i)
+        return seq._replace(generator=generator)
+
+    monkeypatch.setattr(sequences, "REGISTRY", tuple(
+        recorded(seq) if seq.name == "lattice_smooth_paths" else seq
+        for seq in sequences.REGISTRY))
     sequences._match_table.cache_clear()
-    registry_matches(count_prefix(Support.parse("A1,A2,A3,A4,A5"), 9))
-    evaluated = sorted(i for name, i in sequences._TERMS
-                       if name == "lattice_smooth_paths")
-    assert evaluated == list(range(1, MATCH_HEAD + max(MATCH_OFFSETS) + 1))
+    try:
+        registry_matches(count_prefix(Support.parse("A1,A2,A3,A4,A5"), 9))
+    finally:
+        sequences._match_table.cache_clear()
+    # Each term is evaluated once (memoised), and none past the head.
+    assert sorted(evaluated) == list(range(1, MATCH_HEAD + max(MATCH_OFFSETS) + 1))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from stdpuzzle import verify
+from stdpuzzle.families import sweep
 from stdpuzzle.pieces import Support
 from stdpuzzle.verify import STATUS_FAIL, STATUS_PASS, run_verification
 
@@ -83,6 +84,10 @@ def test_identity_claims_count_each_support_once(counted_masks, claim, passes, v
     assert result.computed == result.expected == vector
 
 
+_AD, _B, _C = ("A1,A2,A3,A4,A5,A6,D1,D2,D3,D4,D5,D6", "B1,B2,B3,B4,B5,B6",
+                "C1,C2,C3,C4,C5,C6")
+
+
 @pytest.mark.parametrize("claim, supports", (
     ("catalan", ["A2,A3"]),
     ("double-factorial", ["A1,A2,A3", "A1,A2"]),
@@ -96,6 +101,10 @@ def test_identity_claims_count_each_support_once(counted_masks, claim, passes, v
          ("A1,A2,A3", "B"), ("A1,A2", "B"), ("A1,A2,A3", "C"), ("A1,A2", "C"),
          ("A2,A3", "B"), ("A2", "B"))]),
     ("entringer-closed-forms", [f"A1,A2,A3,A4,A5,B{i}" for i in range(1, 7)]),
+    # the base is counted once per kind: 16 counts of 15 supports
+    ("converter-additivity",
+     [_AD, f"{_AD},{_B}", f"{_AD},{_C}",
+      *(f"{_AD},{kind}{i}" for kind in "BC" for i in range(1, 7))]),
 ))
 def test_formula_claims_count_the_supports_they_name(counted_masks, claim, supports):
     # Families 17 and 18 share their counts, so only the supports a claim
@@ -103,3 +112,20 @@ def test_formula_claims_count_the_supports_they_name(counted_masks, claim, suppo
     assert run_verification([claim], nmax=3).results[0].status == STATUS_PASS
     assert set(counted_masks) == {Support.parse(codes).mask for codes in supports}
     assert len(set(counted_masks)) == len(supports)
+
+
+def test_additivity_fails_where_the_converter_kinds_mix():
+    # A B window then a C window turns a column down and back up, so a
+    # support with both kinds has puzzles with two distinct converters.
+    computed, expected = verify._excess_sum(Support.parse(_AD), ["B1", "C1"], 4)
+    assert computed[0] == expected[0]
+    assert all(c > e for c, e in zip(computed[1:], expected[1:]))
+
+
+def test_every_sweep_support_lies_inside_a_one_kind_support():
+    # So converter-additivity, checked on these two supports, covers every row.
+    one_kind = [Support.parse(f"{_AD},{kind}").mask for kind in (_B, _C)]
+    rows = [row for kind in (1, 2) for row in sweep(kind, 1, include_open=True)]
+    assert len(rows) == 56320
+    assert all(any(Support.parse(row["support"]).mask & ~mask == 0 for mask in one_kind)
+               for row in rows)
