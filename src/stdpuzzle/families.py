@@ -8,16 +8,11 @@ Two sweep kinds, mirroring how the 51072 enumerable families arise:
            19 * 19 * 64 * 2 descriptors.
 
 A group is the descriptors that differ only in their converter subset S:
-one (x, z, converter kind, mirrored).  Converter effects add up (the
-lemma `verify`'s `converter-additivity` claim states and checks): for
-the lowest converter y in S,
-
-  prefix(S) = prefix(S - {y}) + prefix({y}) - prefix({}).
-
-The sweep therefore runs `count_prefix` only on the base ({}) and the six
-single-converter supports of each group, which the descriptor order
-yields first, and builds each larger subset's row from earlier rows by
-that one vector addition, in exact integers.
+one (x, z, converter kind, mirrored).  Converter effects add up, by the
+lemma in the docstring of `verify`'s `converter-additivity` claim: the
+prefix of S is the base plus each converter's excess,
+`theorems.converter_prefixes`.  So the sweep runs `count_prefix` only on
+the base and the six single-converter supports of each group.
 
 It also counts each such support at most once up to symmetry.  The maps
 f1, f2 and f3 send the puzzles of a support onto those of its image, and
@@ -52,22 +47,18 @@ from typing import Iterator
 from .counting import count_prefix
 from .pieces import Support
 from .sequences import registry_matches
-from .theorems import SIMPLE_PIECES, glued_support
+from .theorems import SIMPLE_PIECES, converter_prefixes, glued_support
 from .transforms import SYMMETRIES, f2, map_mask
 
 _FORMULA_FREE = frozenset(r.x for r in SIMPLE_PIECES if r.refinement is None)
 
-#: Largest nmax a sweep accepts.  On a 2-CPU machine the full kind-2
-#: sweep takes about 15 s at nmax = 24 (5 s at 16, 34 s at 32), and the
-#: full kind-1 sweep 1.3 s.
+#: Largest nmax a sweep accepts.  In-process on a 2-CPU machine (Python
+#: 3.11.7), the full kind-2 sweep with family 10 takes about 11 s at nmax =
+#: 24 (3.7 s at 16, 24 s at 32), and the full kind-1 sweep 1 s.
 NMAX_BOUND = 24
 
 #: The 64 converter subsets by size, then lexicographically.
 _SUBSETS = tuple(frozenset(c) for r in range(7) for c in combinations(range(1, 7), r))
-
-
-def _converter_mask(converter_kind: str, subset) -> int:
-    return Support.of(*[f"{converter_kind}{y}" for y in subset]).mask
 
 
 def _images(mask: int) -> list[int]:
@@ -104,7 +95,8 @@ def sweep(kind: int, nmax: int, include_open: bool = False,
 
     The arguments are checked at the call; the rows come lazily.  Each
     group's base and single-converter supports are counted, once per
-    symmetry orbit, and its larger subsets are added up from them.
+    symmetry orbit, and every row is the base plus each converter's
+    excess, `theorems.converter_prefixes`.
     """
     if not 1 <= nmax <= NMAX_BOUND:
         raise ValueError(f"nmax must be in 1..{NMAX_BOUND}, got {nmax}")
@@ -112,13 +104,21 @@ def sweep(kind: int, nmax: int, include_open: bool = False,
 
 
 def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
-    subset_texts = [",".join(map(str, sorted(s))) for s in _SUBSETS]
-    subset_bits = [sum(1 << (y - 1) for y in s) for s in _SUBSETS]
-    converter_masks = {ck: [_converter_mask(ck, s) for s in _SUBSETS] for ck in "BC"}
-    # the symmetry images of the base's converters (none or one), by mask
-    small_images = {m: _images(m) for masks in converter_masks.values()
-                    for m, s in zip(masks, _SUBSETS) if len(s) < 2}
+    subsets = [(",".join(map(str, sorted(s))), sum(1 << (y - 1) for y in s)) for s in _SUBSETS]
+    converter_masks = {ck: [Support.of(*[f"{ck}{y}" for y in s]).mask for s in _SUBSETS]
+                       for ck in "BC"}
+    # per kind, the single converters {1}..{6} (_SUBSETS[1:7]) and their images
+    single_converters = {ck: [(m, _images(m)) for m in masks[1:7]]
+                         for ck, masks in converter_masks.items()}
     orbits: dict[int, list[int]] = {}  # least symmetry image -> prefix
+
+    def counted(mask: int, images) -> list[int]:
+        """The prefix of a mask with these symmetry images, once per orbit."""
+        least = min(images)
+        if least not in orbits:
+            orbits[least] = count_prefix(Support.from_mask(mask), nmax)
+        return orbits[least]
+
     pairs = ([(x, None) for x in indices] if kind == 1
              else [(x, z) for x in indices for z in indices])
     mirrorings = (False, True) if kind == 1 else (False,)
@@ -128,24 +128,14 @@ def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
         bases = [(f2(glued) if mirrored else glued).mask for mirrored in mirrorings]
         base_images = [_images(base) for base in bases]
         for converter_kind in ("B", "C"):
-            # per mirroring, the group's prefixes indexed by subset bit set
-            groups = [[None] * 64 for _ in mirrorings]
-            for bits, text, converters in zip(subset_bits, subset_texts,
-                                              converter_masks[converter_kind]):
-                low = bits & -bits  # the lowest converter's bit
-                for mirrored, base, images, found in zip(mirrorings, bases,
-                                                         base_images, groups):
-                    mask = base | converters
-                    if bits == low:  # no converter or one
-                        least = min(map(or_, images, small_images[converters]))
-                        prefix = orbits.get(least)
-                        if prefix is None:
-                            prefix = orbits[least] = count_prefix(
-                                Support.from_mask(mask), nmax)
-                    else:
-                        prefix = [r + s - b for r, s, b in
-                                  zip(found[bits ^ low], found[low], found[0])]
-                    found[bits] = prefix
+            tables = []  # per mirroring, the group's prefixes indexed by subset bits
+            for base, images in zip(bases, base_images):
+                counts = [counted(base | mask, map(or_, images, mask_images))
+                          for mask, mask_images in single_converters[converter_kind]]
+                tables.append(converter_prefixes(counted(base, images), counts))
+            for (text, bits), converters in zip(subsets, converter_masks[converter_kind]):
+                for mirrored, base, prefixes in zip(mirrorings, bases, tables):
+                    prefix = prefixes[bits]
                     matches = registry_matches(prefix)
                     yield {
                         "kind": kind,
@@ -154,7 +144,7 @@ def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
                         "converter_subset": text,
                         "z": "" if z is None else z,
                         "mirrored": mirrored,
-                        "support": str(Support.from_mask(mask)),
+                        "support": str(Support.from_mask(base | converters)),
                         "formula_free": formula_free,
                         "duplicate_support": converter_kind == "C" and not bits,
                         "prefix": [str(v) for v in prefix],

@@ -10,7 +10,8 @@ prescribed bottom-right / top-right ranks.  The module adds:
   piece (the paper's theorems 4.2-4.8), each found by resolve_theorem,
 * the partition counts q1/q2/q3 and junction weights ty behind the
   composition rule, and compose itself, which counts puzzles whose support
-  glues an increasing family, one 1-converter, and a mirrored family.
+  glues an increasing family, one 1-converter, and a mirrored family,
+* converter_prefixes, the one rule by which a support's converters add up.
 
 The module imports no counting code: every count here is a closed form.
 The paper's identities, which compare engine counts of related supports,
@@ -409,6 +410,17 @@ def compose_support(query: CompositionQuery) -> Support:
     and f2 commute and so f2 o f12 = f1."""
     support = glued_support(query.x, query.z) | Support.of(f"B{query.y}")
     return support if query.converter_kind == "B" else f2(support)
+
+
+def converter_prefixes(base: list[int], singles: list[list[int]]) -> list[list[int]]:
+    """The count prefixes of a base support with each subset of its
+    converters, by subset bits (bit j for singles[j], the prefix with
+    converter j alone): the base plus each converter's excess, in exact
+    integers.  `verify`'s `converter-additivity` docstring has the lemma."""
+    prefixes = [base]
+    for single in singles:  # the entries with highest bit j, from those before
+        prefixes += [[p + s - b for p, s, b in zip(q, single, base)] for q in prefixes]
+    return prefixes
 
 
 def compose(query: CompositionQuery) -> int:

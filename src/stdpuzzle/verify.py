@@ -331,28 +331,24 @@ def _engine_equivalence(hi: int) -> tuple[list, list]:
     return computed, expected
 
 
-def _excess_sum(base: Support, converters, hi: int) -> tuple[list, list]:
-    """The prefix of base | converters, and base's plus each one's excess."""
-    plain = count_prefix(base, hi)
-    singles = [count_prefix(base | Support.of(code), hi) for code in converters]
-    return (count_prefix(base | Support.of(*converters), hi),
-            [sum(col) - (len(singles) - 1) * p for p, *col in zip(plain, *singles)])
-
-
 def _converter_additivity(hi: int) -> tuple[list, list]:
     """Converter additivity, by which `families.sweep` adds up its rows.
     A piece's category is its pair of column orientations, so only a B
     window turns a column from up to down and only a C window turns it
     back.  Without C pieces, or without B pieces, a puzzle turns at most
     once, so it uses at most one distinct converter: a support's count
-    minus its _excess_sum, the puzzles with two distinct converters, is
-    0 there and on every support inside it.  Each sweep support lies in
-    the A and D pieces with all B pieces or with all C pieces, so checking
-    those two covers every sweep row at n <= hi."""
-    (b, b_sum), (c, c_sum) = [_excess_sum(_aligned("AD", range(1, 7)),
-                                          [f"{kind}{y}" for y in range(1, 7)], hi)
-                              for kind in "BC"]
-    return b + c, b_sum + c_sum
+    minus `theorems.converter_prefixes` (the puzzles with two distinct
+    converters) is 0 there and on every support inside it.  Each sweep
+    support lies in the A and D pieces with all B pieces or with all C
+    pieces, so checking those two covers every sweep row at n <= hi."""
+    base = _aligned("AD", range(1, 7))
+    computed, expected = [], []
+    for kind in "BC":
+        codes = [f"{kind}{y}" for y in range(1, 7)]
+        singles = [count_prefix(base | Support.of(code), hi) for code in codes]
+        computed += count_prefix(base | Support.of(*codes), hi)
+        expected += theorems.converter_prefixes(count_prefix(base, hi), singles)[-1]
+    return computed, expected
 
 
 _ENTRINGER_CASES = _converter_cases("a12345b")

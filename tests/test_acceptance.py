@@ -2,20 +2,23 @@
 
 Each test covers one acceptance criterion and prints one PASS/FAIL line
 (run with -s to see them).  Expected values come from independent
-oracles: definition-level enumeration, permutation backtracking,
-exhaustive partition and path counting, or the recurrence/closed-form
-pairs of the sequences module.
+oracles: definition-level enumeration, permutation backtracking, path
+counting, or the recurrence/closed-form pairs of the sequences module.
+Criteria 8, 9 and 11, and the tabulated formulas of criterion 13, are
+checked in test_theorems.py: by test_one_converter_forms_match_engine,
+test_q_counts_match_exhaustive_partitions,
+test_px_refinement_matches_corner_tables and
+test_simple_piece_formulas_match_engine.
 """
 
 import random
 import time
-from itertools import combinations, islice
+from itertools import combinations
 from pathlib import Path
 
 from stdpuzzle import theorems
-from stdpuzzle.counting import (corner_tables, count_bruteforce,
-                                count_corner_bottom, count_dp, count_prefix,
-                                enumerate_puzzles)
+from stdpuzzle.counting import (count_bruteforce, count_corner_bottom, count_dp,
+                                count_prefix, enumerate_puzzles)
 from stdpuzzle.pieces import PIECES, Support
 from stdpuzzle.sequences import (catalan_triangle_t, double_factorial,
                                  entringer, fibonacci, lattice_L, secant,
@@ -153,45 +156,6 @@ def test_c07_weighted_sum_identities():
                 (n + 3) * double_factorial(2 * n + 1) - double_factorial(2 * n + 2)
 
 
-def test_c08_converter_closed_forms():
-    with criterion(8, "all one-converter closed forms match the engine"):
-        start = time.perf_counter()
-        for form in theorems.CONVERTER_FORMS:
-            for i in range(1, 7):
-                support = form.support(i)
-                hi = 4 if len(support) <= 5 else 3
-                for n in range(form.first[i - 1], hi + 1):
-                    assert form.count(i, n) == count_dp(support, n), (form.id, i, n)
-        assert time.perf_counter() - start < 120.0
-
-
-def test_c09_partition_split_lemma():
-    with criterion(9, "split-counting formulas vs exhaustive partitions (m+p <= 4)"):
-        for m in range(1, 4):
-            for p in range(1, 5 - m):
-                for i in range(1, 2 * m):
-                    for j in range(1, 2 * m - i + 1):
-                        for k in range(1, 2 * p):
-                            for l in range(1, 2 * p - k + 1):
-                                exhaustive = _exhaustive_splits(i, j, k, l, m, p)
-                                assert theorems.q1(i, j, k, l, m, p) == exhaustive[0]
-                                assert theorems.q2(i, j, k, l, m, p) == exhaustive[1]
-                                assert theorems.q3(i, j, k, l, m, p) == exhaustive[2]
-
-
-def _exhaustive_splits(i, j, k, l, m, p):
-    total = 2 * m + 2 * p
-    counts = [0, 0, 0]
-    for a_part in combinations(range(1, total + 1), 2 * m):
-        b_part = [x for x in range(1, total + 1) if x not in a_part]
-        ai, aij = a_part[i - 1], a_part[i + j - 1]
-        bk, bkl = b_part[k - 1], b_part[k + l - 1]
-        counts[0] += ai < bk < bkl < aij
-        counts[1] += ai < bk < aij < bkl
-        counts[2] += ai < aij < bk < bkl
-    return counts
-
-
 def test_c10_composition_rule():
     with criterion(10, "glued-family composition matches the engine"):
         for query in theorems.sample_composition_queries(25, nmax=3):
@@ -201,18 +165,6 @@ def test_c10_composition_rule():
                                                          converter_kind="C"):
             assert theorems.compose(query) == \
                 count_dp(theorems.compose_support(query), query.n), query
-
-
-def test_c11_refinement_table():
-    with criterion(11, "per-family corner refinements match the DP tables (m <= 4)"):
-        for row in theorems.SIMPLE_PIECES:
-            if row.refinement is None:
-                continue
-            for m, entries in islice(corner_tables(row.support), 4):
-                for i in range(1, 2 * m):
-                    for j in range(1, 2 * m + 1 - i):
-                        assert theorems.px_refinement(row.x, i, j, m) == \
-                            entries.get((i, i + j), 0), (row.x, i, j, m)
 
 
 def aligned(letters, alpha) -> Support:
@@ -263,7 +215,7 @@ def test_c12_flip_and_product_identities():
 
 def test_c13_skeleton_model():
     with criterion(13, "skeleton model: 20+80 simple pieces, drawn-edge "
-                       "grouping, tabulated formulas"):
+                       "grouping"):
         ones = all_simple_pieces(1)
         assert len(ones) == 20
         assert len({s for c in (1, 2, 3, 4) for s in all_simple_pieces(c)}) == 80
@@ -279,9 +231,6 @@ def test_c13_skeleton_model():
         assert sorted(sizes.values()) == sorted((1, 9, 8, 2))
         assert sum(sizes.values()) == 20
         assert sizes == {2: 1, 3: 8, 4: 9, 5: 2}
-        for row in theorems.SIMPLE_PIECES:
-            for n in range(1, 5):
-                assert row.count(n) == count_dp(row.support, n)
 
 
 def test_c14_engine_equivalence_and_invariance():

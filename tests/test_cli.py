@@ -355,7 +355,7 @@ def test_families_csv(tmp_path, capsys):
     code, _, _ = run(capsys, "--format", "csv", "families", "--kind", "1",
                      "--nmax", "2", "--x", "4", "--out", str(out_file))
     assert code == 0
-    rows = list(csv.DictReader(out_file.open()))
+    rows = list(csv.DictReader(out_file.read_text().splitlines()))
     assert len(rows) == 2 ** 6 * 2 * 2
     assert {r["x"] for r in rows} == {"4"}
 

@@ -3,7 +3,6 @@ from itertools import combinations, islice
 
 import pytest
 
-from stdpuzzle import theorems
 from stdpuzzle.counting import (corner_tables, count_bruteforce, count_dp,
                                 count_prefix)
 from stdpuzzle.pieces import Support
@@ -11,6 +10,7 @@ from stdpuzzle.sequences import fibonacci, lattice_L
 from stdpuzzle.skeleton import all_simple_pieces
 from stdpuzzle.theorems import (CONVERTER_FORMS, CompositionQuery, SIMPLE_PIECES,
                                 compose, compose_support, converter_image,
+                                converter_prefixes,
                                 px_refinement, q1, q2, q3, resolve_theorem,
                                 simple_piece_row, simple_piece_count, ty)
 
@@ -227,12 +227,18 @@ def test_compose_examples(x, y, z, n):
     assert compose(query) == count_dp(compose_support(query), n)
 
 
-def test_compose_sampled_queries():
-    for query in theorems.sample_composition_queries(25, nmax=3):
-        assert compose(query) == count_dp(compose_support(query), query.n)
-    for query in theorems.sample_composition_queries(10, nmax=3, seed=5,
-                                                     converter_kind="C"):
-        assert compose(query) == count_dp(compose_support(query), query.n)
+@pytest.mark.parametrize("k", range(4))
+def test_converter_prefixes_add_each_converters_excess(k):
+    base = [2, 10 ** 30, 7]
+    singles = [[3 + j, 10 ** 30 + 5 ** j, 7 - j] for j in range(k)]
+    prefixes = converter_prefixes(base, singles)
+    assert len(prefixes) == 2 ** k
+    assert prefixes[0] == base
+    assert [prefixes[1 << j] for j in range(k)] == singles
+    for bits, prefix in enumerate(prefixes):
+        chosen = [single for j, single in enumerate(singles) if bits >> j & 1]
+        assert prefix == [b + sum(single[t] - b for single in chosen)
+                          for t, b in enumerate(base)]
 
 
 def test_compose_rejects_family_ten():

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from stdpuzzle import verify
+from stdpuzzle import families, theorems, verify
+from stdpuzzle.counting import count_prefix
 from stdpuzzle.families import sweep
 from stdpuzzle.pieces import Support
+from stdpuzzle.theorems import converter_prefixes
 from stdpuzzle.verify import STATUS_FAIL, STATUS_PASS, run_verification
 
 # (claim, n_range at --nmax 1, status at 1, n_range at --nmax 8, status at 8):
@@ -117,9 +119,32 @@ def test_formula_claims_count_the_supports_they_name(counted_masks, claim, suppo
 def test_additivity_fails_where_the_converter_kinds_mix():
     # A B window then a C window turns a column down and back up, so a
     # support with both kinds has puzzles with two distinct converters.
-    computed, expected = verify._excess_sum(Support.parse(_AD), ["B1", "C1"], 4)
+    base = Support.parse(_AD)
+    singles = [count_prefix(base | Support.of(code), 4) for code in ("B1", "C1")]
+    computed = count_prefix(base | Support.of("B1", "C1"), 4)
+    expected = converter_prefixes(count_prefix(base, 4), singles)[-1]
     assert computed[0] == expected[0]
     assert all(c > e for c, e in zip(computed[1:], expected[1:]))
+
+
+def test_sweep_and_additivity_claim_share_one_sum_rule(monkeypatch):
+    # The claim certifies the function the sweep builds its rows with:
+    # both call theorems.converter_prefixes, once per group and per kind.
+    assert families.converter_prefixes is theorems.converter_prefixes
+    calls = []
+
+    def recorder(base, singles):
+        calls.append(len(singles))
+        return converter_prefixes(base, singles)
+
+    monkeypatch.setattr(families, "converter_prefixes", recorder)
+    monkeypatch.setattr(theorems, "converter_prefixes", recorder)
+    assert len(list(sweep(1, 2, xs=[4]))) == 2 ** 6 * 2 * 2
+    assert calls == [6] * 4  # 2 converter kinds x 2 mirrorings
+    calls.clear()
+    result = run_verification(["converter-additivity"], nmax=2).results[0]
+    assert result.status == STATUS_PASS
+    assert calls == [6] * 2  # B, then C
 
 
 def test_every_sweep_support_lies_inside_a_one_kind_support():
