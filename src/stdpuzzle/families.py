@@ -9,10 +9,10 @@ Two sweep kinds, mirroring how the 51072 enumerable families arise:
 
 A group is the descriptors that differ only in their converter subset S:
 one (x, z, converter kind, mirrored).  Converter effects add up, by the
-lemma in the docstring of `verify`'s `converter-additivity` claim: the
-prefix of S is the base plus each converter's excess,
-`theorems.converter_prefixes`.  So the sweep runs `count_prefix` only on
-the base and the six single-converter supports of each group.
+corollary in `verify._orientation_factorization` that `verify`'s
+`converter-additivity` claim checks: the prefix of S is the base plus
+each converter's excess, `theorems.converter_prefixes`.  So the sweep
+runs `count_prefix` only on each group's base and single-converter supports.
 
 It also counts each such support at most once up to symmetry.  The maps
 f1, f2 and f3 send the puzzles of a support onto those of its image, and

@@ -14,9 +14,9 @@ prescribed bottom-right / top-right ranks.  The module adds:
 * converter_prefixes, the one rule by which a support's converters add up.
 
 The module imports no counting code: every count here is a closed form.
-The paper's identities, which compare engine counts of related supports,
-are checked by the flip-pair-identity and product-identity claims of
-`verify`.
+The paper's identities are certificates, not counts: `verify` checks a
+fact about the 24 pieces from which both follow for every n, by the
+factorization in the docstring of `verify._orientation_factorization`.
 
 Fractional intermediate values are computed exactly and must come out
 integral; a non-integral result raises, it never truncates.

@@ -3,8 +3,9 @@
 Each claim recomputes one family of results two independent ways (closed
 form vs engine, engine vs engine, formula vs an order count: the
 linear extensions of a small digraph, by the skeleton model's one
-counter skeleton.count_linear_extensions, or a piece-level fact, as
-pieces and flip-invariance check on the 24 pieces) and reports
+counter skeleton.count_linear_extensions), or checks a certificate, a
+fact about the 24 pieces that implies it for every n (flip-invariance,
+converter-images, flip-pair-identity, product-identity), and reports
 pass/fail with both value vectors.  One claim is deliberately "flagged"
 rather than failing: the alternative Fibonacci offset that circulates
 for the {A1,B1,C1} family disagrees with enumeration, and the suite
@@ -24,7 +25,7 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, islice
+from itertools import islice
 from typing import Callable, NamedTuple, Sequence
 
 from . import theorems, transforms
@@ -123,12 +124,14 @@ def _chain(vertices) -> set:
     return set(zip(vertices, vertices[1:]))
 
 
+#: Each category's column orientations, left then right (True: up, bottom < top).
+_ORIENTATIONS = {"A": (True, True), "B": (True, False), "C": (False, True), "D": (False, False)}
+
+
 def _pieces(hi: int) -> tuple[list, list]:
     grids = {p.grid for p in PIECES}
-    rules = {"A": (True, True), "B": (True, False), "C": (False, True),
-             "D": (False, False)}
     consistent = all(
-        (p.bl < p.tl, p.br < p.tr) == rules[p.category] for p in PIECES)
+        (p.bl < p.tl, p.br < p.tr) == _ORIENTATIONS[p.category] for p in PIECES)
     idempotent = all(reduce_window(p.tl, p.tr, p.bl, p.br) == p for p in PIECES)
     return [len(PIECES), len(grids), consistent, idempotent], [24, 24, True, True]
 
@@ -206,15 +209,12 @@ def _simple_pieces(hi: int) -> tuple[list, list]:
 
 
 def _converter_images(hi: int) -> tuple[list, list]:
-    computed, expected = [], []
-    fixed = [row.support for row in theorems.SIMPLE_PIECES
-             if f123(row.support) == row.support]
-    for family in fixed:
-        for i in range(1, 7):
-            j = theorems.converter_image(family, i)
-            computed += count_prefix(family | Support.of(f"C{i}"), hi)
-            expected += count_prefix(family | Support.of(f"B{j}"), hi)
-    return computed, expected
+    """f1 o f2 o f3 fixes ten simple families and sends each family plus
+    C_i to the family plus B_j, j = 4, 2, 3, 1, 5, 6 for i = 1..6
+    (`theorems.converter_image`): by flip invariance both count alike."""
+    computed = [[row.x, [theorems.converter_image(row.support, i) for i in range(1, 7)]]
+                for row in theorems.SIMPLE_PIECES if f123(row.support) == row.support]
+    return computed, [[x, [4, 2, 3, 1, 5, 6]] for x in (1, 2, 3, 8, 9, 10, 17, 18, 19, 20)]
 
 
 def _q_lemma(hi: int) -> tuple[list, list]:
@@ -264,45 +264,47 @@ def _composition(hi: int) -> tuple[list, list]:
     return computed, expected
 
 
-def _aligned(letters, alpha) -> Support:
-    """The support {X_i : X in letters, i in alpha}."""
-    return Support.of(*[f"{x}{i}" for x in letters for i in alpha])
+def _orientation_factorization() -> bool:
+    """The piece fact: swapping the two labels of a piece's left column
+    gives the piece of the same index with the left orientation toggled
+    (A<->C, B<->D); swapping the right column toggles the right one
+    (A<->B, C<->D).  So a puzzle is, one to one, an all-A puzzle with the
+    same window indices plus its column orientations, and it lies in S
+    when each window's index and two column orientations name a piece of S:
+
+        count(S, n) = sum over w of a(w) * 1^T M_{w_1} ... M_{w_n} 1
+
+    for every S and n, where a(w) counts the all-A puzzles with window
+    indices w and M_i is the 2x2 0/1 matrix of index i in S, a row per
+    left orientation and a column per right one.  The flip-pair and
+    product identities follow, and so does converter additivity: with no
+    C piece no M_i has a down->up entry (with no B piece, no up->down
+    one), so a puzzle's columns turn at most once."""
+    return all(
+        (window.index, _ORIENTATIONS[window.category]) == (p.index, toggled)
+        for p in PIECES for left, right in [_ORIENTATIONS[p.category]]
+        for window, toggled in ((reduce_window(p.bl, p.tr, p.tl, p.br), (not left, right)),
+                                (reduce_window(p.tl, p.br, p.bl, p.tr), (left, not right))))
 
 
 def _flip_pair(hi: int) -> tuple[list, list]:
-    """{P_i, Q_i : i in alpha} counts twice A_alpha, with P_i, Q_i drawn
-    from A/B and C/D (the identity) or from A/C and B/D (its corollary)."""
-    cases = []  # (alpha, the letters P_i Q_i of each i in alpha, terms compared)
-    for r in (1, 2):
-        for alpha in combinations(range(1, 7), r):
-            for bits_p in range(1 << r):
-                for bits_q in range(1 << r):
-                    for p, q in (("AB", "CD"), ("AC", "BD")):
-                        cases.append((alpha, [p[bits_p >> t & 1] + q[bits_q >> t & 1]
-                                              for t in range(r)], hi))
-    rng = random.Random(13)
-    for _ in range(20):
-        r = rng.randrange(3, 7)
-        alpha = tuple(sorted(rng.sample(range(1, 7), r)))
-        ps = [rng.choice("AB") for _ in alpha]
-        qs = [rng.choice("CD") for _ in alpha]
-        cases.append((alpha, [p + q for p, q in zip(ps, qs)], min(hi, 2)))
-    pairs = [(Support.of(*map(_aligned, letters, zip(alpha))), _aligned("A", alpha), n)
-             for alpha, letters, n in cases]
-    counts = {s: count_prefix(s, hi) for s in {s for pair in pairs for s in pair[:2]}}
-    ok = all(counts[lhs][:n] == [2 * c for c in counts[rhs][:n]] for lhs, rhs, n in pairs)
-    return [ok, len(pairs)], [True, len(pairs)]
+    """{P_i, Q_i : i in alpha} counts twice A_alpha for every alpha and n,
+    with P_i, Q_i from A/B and C/D (the identity) or from A/C and B/D (its
+    corollary): by `_orientation_factorization`, as each M_i has one 1 per
+    row (per column), so has every M_w, and 1^T M_w 1 = 2 where A_alpha has 1."""
+    one_per_line = [all(sorted(_ORIENTATIONS[x][side] for x in (p, q)) == [False, True]
+                        for p in ps for q in qs)
+                    for side, ps, qs in ((0, "AB", "CD"), (1, "AC", "BD"))]
+    return [_orientation_factorization(), *one_per_line], [True, True, True]
 
 
 def _product_identity(hi: int) -> tuple[list, list]:
-    """{X_i : X in classes, i in alpha} counts A_alpha times {X_1 : X in classes}."""
-    triples = [(_aligned(classes, alpha), _aligned("A", alpha), _aligned(classes, (1,)))
-               for size in range(1, 5) for classes in combinations("ABCD", size)
-               for r in (1, 2) for alpha in combinations(range(1, 7), r)]
-    counts = {s: count_prefix(s, hi) for s in {s for triple in triples for s in triple}}
-    failures = sum(c != a * b for spread, a_alpha, ones in triples
-                   for c, a, b in zip(counts[spread], counts[a_alpha], counts[ones]))
-    return [failures, hi * len(triples)], [0, hi * len(triples)]
+    """{X_i : X in classes, i in alpha} counts A_alpha times {X_1 : X in
+    classes} for every alpha and n: each M_i, i in alpha, is the matrix M of
+    classes, so by `_orientation_factorization` the count is |A_alpha| *
+    1^T M^n 1, and A1 (labels bl < br < tr < tl: 1, 2, 3, 4) has one puzzle per n."""
+    a1 = PIECES[0]
+    return [_orientation_factorization(), [a1.bl, a1.br, a1.tr, a1.tl]], [True, [1, 2, 3, 4]]
 
 
 def _flip_invariance(hi: int) -> tuple[list, list]:
@@ -334,15 +336,14 @@ def _engine_equivalence(hi: int) -> tuple[list, list]:
 
 def _converter_additivity(hi: int) -> tuple[list, list]:
     """Converter additivity, by which `families.sweep` adds up its rows.
-    A piece's category is its pair of column orientations, so only a B
-    window turns a column from up to down and only a C window turns it
-    back.  Without C pieces, or without B pieces, a puzzle turns at most
-    once, so it uses at most one distinct converter: a support's count
-    minus `theorems.converter_prefixes` (the puzzles with two distinct
+    Without C pieces, or without B pieces, a puzzle's columns turn at most
+    once (the corollary in `_orientation_factorization`), so it uses at
+    most one distinct converter: a support's count minus
+    `theorems.converter_prefixes` (the puzzles with two distinct
     converters) is 0 there and on every support inside it.  Each sweep
     support lies in the A and D pieces with all B pieces or with all C
     pieces, so checking those two covers every sweep row at n <= hi."""
-    base = _aligned("AD", range(1, 7))
+    base = Support.of(*[f"{x}{i}" for x in "AD" for i in range(1, 7)])
     computed, expected = [], []
     for kind in "BC":
         codes = [f"{kind}{y}" for y in range(1, 7)]
@@ -407,9 +408,8 @@ CLAIMS = {
     "entringer-closed-forms": Claim(
         "{A1..A5}+B_i Entringer sums match the engine",
         partial(_formula, _ENTRINGER_CASES), cap=3, lo=min(c[2] for c in _ENTRINGER_CASES)),
-    "converter-images": Claim(
-        "2-converter families count like their mapped 1-converter families",
-        _converter_images, cap=3),
+    "converter-images": Claim("2-converter families count like their mapped 1-converter families",
+                              _converter_images, span="-"),
     "q-partition-lemma": Claim(
         "the three split-counting formulas match linear extensions of two chains",
         _q_lemma, span="m+p<=4"),
@@ -418,16 +418,14 @@ CLAIMS = {
     "composition": Claim(
         "the glued-family triple sum matches the engine (both converter kinds)",
         _composition, cap=3, span="n<={hi}"),
-    "flip-pair-identity": Claim(
-        "aligned converter/plain choices count twice the all-A family",
-        _flip_pair, cap=3, span="n<={hi}"),
+    "flip-pair-identity": Claim("aligned converter/plain choices count twice the all-A family",
+                                _flip_pair, span="-"),
     "whirlpool": Claim(
         "the vortex-style support counts whirlpool permutations",
         partial(_formula, [(Support.parse("A1,A4,B3,B6,C3,C6,D1,D4"),
                             lambda n: whirlpool_W(n + 1), 1)]), cap=3),
-    "product-identity": Claim(
-        "spreading a subscript-1 family across subscripts multiplies counts",
-        _product_identity, cap=3, span="n<={hi}"),
+    "product-identity": Claim("spreading a subscript-1 family across subscripts multiplies counts",
+                              _product_identity, span="-"),
     "flip-invariance": Claim("counts are invariant under the three piece-set bijections",
                              _flip_invariance, span="-"),
     "engine-equivalence": Claim("the transfer DP agrees with brute-force enumeration",
