@@ -27,9 +27,8 @@ A group's base is `theorems.glued_support(x, z)`, the support to which
 `theorems.compose_support` adds B_y, or for a mirrored kind-1 group its
 f2 image, as `compose`'s C support is the f2 image of its B support.
 
-A row's prefix therefore rests on three things: the DP, additivity,
-and flip invariance, by the piece-level argument in the docstring of
-`verify`'s `flip-invariance` claim.
+A row's prefix therefore rests on the DP and two certificates, `verify`'s
+`converter-additivity` and `flip-invariance` claims.
 
 Family 10 (the smooth-lattice-path family) has no refinement formula; it
 is excluded by default and included, flagged, on request.  A sweep's

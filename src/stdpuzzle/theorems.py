@@ -417,7 +417,7 @@ def converter_prefixes(base: list[int], singles: list[list[int]]) -> list[list[i
     """The count prefixes of a base support with each subset of its
     converters, by subset bits (bit j for singles[j], the prefix with
     converter j alone): the base plus each converter's excess, in exact
-    integers.  `verify`'s `converter-additivity` docstring has the lemma."""
+    integers.  `verify`'s `converter-additivity` certificate proves it at every n."""
     prefixes = [base]
     for single in singles:  # the entries with highest bit j, from those before
         prefixes += [[p + s - b for p, s, b in zip(q, single, base)] for q in prefixes]

@@ -38,7 +38,7 @@ RANGES = [
     ("product-identity", "-", "pass", "-", "pass"),
     ("flip-invariance", "-", "pass", "-", "pass"),
     ("engine-equivalence", "1..1", "pass", "1..3", "pass"),
-    ("converter-additivity", "1..1", "pass", "1..4", "pass"),
+    ("converter-additivity", "-", "pass", "-", "pass"),
 ]
 
 
@@ -95,10 +95,6 @@ _AD, _B, _C = ("A1,A2,A3,A4,A5,A6,D1,D2,D3,D4,D5,D6", "B1,B2,B3,B4,B5,B6",
          ("A1,A2,A3", "B"), ("A1,A2", "B"), ("A1,A2,A3", "C"), ("A1,A2", "C"),
          ("A2,A3", "B"), ("A2", "B"))]),
     ("entringer-closed-forms", [f"A1,A2,A3,A4,A5,B{i}" for i in range(1, 7)]),
-    # the base is counted once per kind: 16 counts of 15 supports
-    ("converter-additivity",
-     [_AD, f"{_AD},{_B}", f"{_AD},{_C}",
-      *(f"{_AD},{kind}{i}" for kind in "BC" for i in range(1, 7))]),
 ))
 def test_formula_claims_count_the_supports_they_name(counted_masks, claim, supports):
     # Families 17 and 18 share their counts, so only the supports a claim
@@ -108,20 +104,29 @@ def test_formula_claims_count_the_supports_they_name(counted_masks, claim, suppo
     assert len(set(counted_masks)) == len(supports)
 
 
-def test_additivity_fails_where_the_converter_kinds_mix():
-    # A B window then a C window turns a column down and back up, so a
-    # support with both kinds has puzzles with two distinct converters.
+@pytest.mark.parametrize("converters, mixed", (
+    (_B, False), (_C, False), ("B1,C1", True)), ids=("only-B", "only-C", "B1-and-C1"))
+def test_additivity_fails_where_the_converter_kinds_mix(converters, mixed):
+    # The DP evidence for converter-additivity, deeper than the claim ever
+    # counted: one converter kind adds up at every n <= 6, while a B window
+    # then a C window turns a column down and back up, so a support with
+    # both kinds has puzzles with two distinct converters.
     base = Support.parse(_AD)
-    singles = [count_prefix(base | Support.of(code), 4) for code in ("B1", "C1")]
-    computed = count_prefix(base | Support.of("B1", "C1"), 4)
-    expected = converter_prefixes(count_prefix(base, 4), singles)[-1]
-    assert computed[0] == expected[0]
-    assert all(c > e for c, e in zip(computed[1:], expected[1:]))
+    codes = converters.split(",")
+    singles = [count_prefix(base | Support.of(code), 6) for code in codes]
+    computed = count_prefix(base | Support.of(*codes), 6)
+    expected = converter_prefixes(count_prefix(base, 6), singles)[-1]
+    if mixed:
+        assert computed[0] == expected[0]
+        assert all(c > e for c, e in zip(computed[1:], expected[1:]))
+    else:
+        assert computed == expected
 
 
 def test_sweep_and_additivity_claim_share_one_sum_rule(monkeypatch):
     # The claim certifies the function the sweep builds its rows with:
-    # both call theorems.converter_prefixes, once per group and per kind.
+    # the sweep calls theorems.converter_prefixes once per group, the
+    # claim once on its basis input.
     assert families.converter_prefixes is theorems.converter_prefixes
     calls = []
 
@@ -136,11 +141,12 @@ def test_sweep_and_additivity_claim_share_one_sum_rule(monkeypatch):
     calls.clear()
     result = run_verification(["converter-additivity"], nmax=2).results[0]
     assert result.status == STATUS_PASS
-    assert calls == [6] * 2  # B, then C
+    assert calls == [6]
 
 
 def test_every_sweep_support_lies_inside_a_one_kind_support():
-    # So converter-additivity, checked on these two supports, covers every row.
+    # So converter-additivity, which holds on these two supports at every
+    # n, covers every row.
     one_kind = [Support.parse(f"{_AD},{kind}").mask for kind in (_B, _C)]
     rows = [row for kind in (1, 2) for row in sweep(kind, 1, include_open=True)]
     assert len(rows) == 56320
@@ -151,7 +157,7 @@ def test_every_sweep_support_lies_inside_a_one_kind_support():
 @pytest.mark.parametrize("claim, nmax", [
     (claim, nmax)
     for claim in ("flip-invariance", "flip-pair-identity", "product-identity",
-                  "converter-images")
+                  "converter-images", "converter-additivity", "simple-pieces")
     for nmax in (1, 3, 8)])
 def test_flip_invariance_is_checked_on_the_pieces_alone(counted_masks, monkeypatch,
                                                          claim, nmax):
@@ -194,13 +200,14 @@ def test_orientation_factorization_matches_the_dp():
 
 def test_identity_claims_fail_when_a_column_swap_keeps_the_orientation(monkeypatch):
     # A2 with its left column swapped is C2; a reduction to C3 breaks the
-    # piece fact both identities rest on.
+    # piece fact both identities and converter additivity rest on.
     a2, c3, reduce_window = piece("A2"), piece("C3"), verify.reduce_window
     swapped = (a2.bl, a2.tr, a2.tl, a2.br)
     monkeypatch.setattr(verify, "reduce_window",
                         lambda *window: c3 if window == swapped else reduce_window(*window))
-    results = run_verification(["flip-pair-identity", "product-identity"]).results
-    assert [r.status for r in results] == [STATUS_FAIL] * 2
+    results = run_verification(["flip-pair-identity", "product-identity",
+                                "converter-additivity"]).results
+    assert [r.status for r in results] == [STATUS_FAIL] * 3
 
 
 def _swaps(perm):
@@ -238,3 +245,22 @@ def test_converter_images_fail_for_every_adjacent_swap_of_the_c_images(monkeypat
             patch.setattr(transforms, "F3", perm)
             statuses.append(run_verification(["converter-images"]).results[0].status)
     assert statuses == [STATUS_FAIL] * 5
+
+
+def _swap_bits_0_and_1(prefixes):
+    """prefixes with the entries of subsets b and b ^ 0b11 swapped where
+    b has exactly one of bits 0 and 1."""
+    return [prefixes[b ^ 0b11 if (b ^ (b >> 1)) & 1 else b] for b in range(len(prefixes))]
+
+
+@pytest.mark.parametrize("claim, mutate", (
+    ("converter-additivity", lambda patch: patch.setattr(
+        theorems, "converter_prefixes",
+        lambda base, singles: _swap_bits_0_and_1(converter_prefixes(base, singles)))),
+    ("converter-additivity",
+     lambda patch: patch.setitem(verify._ORIENTATIONS, "C", (True, False))),
+    ("simple-pieces", lambda patch: patch.setitem(verify._ORIENTATIONS, "B", (True, True))),
+), ids=("swapped-subset-bits", "c-turns-down", "b-keeps-its-column"))
+def test_converter_certificates_fail_for_their_mutants(monkeypatch, claim, mutate):
+    mutate(monkeypatch)
+    assert run_verification([claim]).results[0].status == STATUS_FAIL
