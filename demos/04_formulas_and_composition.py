@@ -6,10 +6,10 @@ and two families glued through a converter are counted by a triple sum over
 the junction ranks.  Everything is cross-checked against the engines.
 """
 
-from stdpuzzle import Support, count_dp, count_prefix
+from stdpuzzle import Support, count_dp, count_prefix, f123
 from stdpuzzle.theorems import (CONVERTER_FORMS, CompositionQuery, SIMPLE_PIECES,
-                                compose, compose_support, converter_image,
-                                px_refinement, simple_piece_count)
+                                compose, compose_support, px_refinement,
+                                simple_piece_count)
 
 print("The 20 simple-piece families and their formulas:")
 for row in SIMPLE_PIECES:
@@ -26,10 +26,9 @@ for form in CONVERTER_FORMS:
 
 print()
 print("2-converter families reduce to 1-converter families:")
-family = Support.parse("A2,A3")
 for i in (1, 4, 5):
-    j = converter_image(family, i)
-    print(f"  {{A2,A3}} + C{i}  counts like  {{A2,A3}} + B{j}")
+    converter = Support.parse(f"C{i}")
+    print(f"  {{A2,A3}} + {converter}  counts like  {{A2,A3}} + {f123(converter)}")
 
 print()
 print("Refinement of the three-column {A2,A3} table (ballot numbers):")

@@ -20,10 +20,9 @@ _EXPORTS = (
     dict.fromkeys(("CornerTable", "corner_table", "corner_tables",
                    "count_bruteforce", "count_corner_bottom", "count_corner_top",
                    "count_dp", "count_prefix", "enumerate_puzzles"), "counting")
-    | dict.fromkeys(("EMPTY_SUPPORT", "FULL_SUPPORT", "PIECES", "Puzzle",
-                     "StandardPiece", "Support", "is_supported",
-                     "minimal_support", "piece", "pieces_of",
-                     "reduce_window"), "pieces")
+    | dict.fromkeys(("FULL_SUPPORT", "PIECES", "Puzzle", "StandardPiece",
+                     "Support", "is_supported", "minimal_support", "piece",
+                     "pieces_of", "reduce_window"), "pieces")
     | dict.fromkeys(("catalan", "catalan_triangle_t", "double_factorial",
                      "entringer", "fibonacci", "lattice_L",
                      "multinomial_all_pairs", "registry_matches", "secant",

@@ -104,8 +104,8 @@ def sweep(kind: int, nmax: int, include_open: bool = False,
 
 def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
     subsets = [(",".join(map(str, sorted(s))), sum(1 << (y - 1) for y in s)) for s in _SUBSETS]
-    converter_masks = {ck: [Support.of(*[f"{ck}{y}" for y in s]).mask for s in _SUBSETS]
-                       for ck in "BC"}
+    converter_masks = {ck: [Support.parse(",".join(f"{ck}{y}" for y in s)).mask
+                            for s in _SUBSETS] for ck in "BC"}
     # per kind, the single converters {1}..{6} (_SUBSETS[1:7]) and their images
     single_converters = {ck: [(m, _images(m)) for m in masks[1:7]]
                          for ck, masks in converter_masks.items()}

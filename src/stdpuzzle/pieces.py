@@ -214,22 +214,9 @@ class Support:
         raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
-    def of(cls, *pieces: StandardPiece | str | Iterable) -> "Support":
-        """Build a support from pieces, codes, or iterables of either."""
-        mask = 0
-        for item in pieces:
-            if isinstance(item, StandardPiece):
-                mask |= 1 << item.ordinal
-            elif isinstance(item, str):
-                mask |= 1 << piece(item).ordinal
-            else:
-                mask |= cls.of(*item).mask
-        return cls.from_mask(mask)
-
-    @classmethod
     def parse(cls, text: str) -> "Support":
         """Parse a comma-separated list of codes, e.g. "A1,A2,A3" or "A,B,D"."""
-        return cls.of(*[tok for tok in text.split(",") if tok.strip()])
+        return cls(piece(tok) for tok in text.split(",") if tok.strip())
 
     def __iter__(self) -> Iterator[StandardPiece]:
         mask = self.mask
@@ -256,7 +243,6 @@ class Support:
         return f"Support.parse({str(self)!r})"
 
 
-EMPTY_SUPPORT = Support(frozenset())
 FULL_SUPPORT = Support(PIECES)
 
 

@@ -81,24 +81,22 @@ def _entringer_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-#: Largest row n of each cached triangle (`_row` keeps only the last row
+#: Largest row n of the cached triangles (`_row` keeps only the last row
 #: built).  In a fresh process on a 2-CPU machine: Entringer row 1000 0.3 s
 #: and 17 MB, ballot row 1000 0.1 s and 15 MB, T row 1000 0.7 s and 19 MB
 #: (row 300 0.08 s); the interpreter alone takes 14 MB.
-ENTRINGER_BOUND = 1000
-BALLOT_BOUND = 1000
-TRIANGLE_T_BOUND = 1000
+TRIANGLE_BOUND = 1000
 
 
 def entringer(n: int, k: int) -> int:
     """E(n,k): down-up permutations of n+1 elements starting with k+1."""
-    if not 0 <= k <= n <= ENTRINGER_BOUND:
-        raise ValueError(f"E({n},{k}) out of range 0 <= k <= n <= {ENTRINGER_BOUND}")
+    if not 0 <= k <= n <= TRIANGLE_BOUND:
+        raise ValueError(f"E({n},{k}) out of range 0 <= k <= n <= {TRIANGLE_BOUND}")
     return _row(_entringer_step, (1,), n)[k]
 
 
 #: Largest k secant accepts: its terms come from the Entringer rows up to 2k.
-SECANT_BOUND = ENTRINGER_BOUND // 2
+SECANT_BOUND = TRIANGLE_BOUND // 2
 
 
 def secant(k: int) -> int:
@@ -120,8 +118,8 @@ def triangle_T(n: int, k: int) -> int:
     Both the closed form and the recurrence T(n,k) = k * sum T(n-1,i) are
     evaluated and must agree.  Defined for 1 <= k <= n+1, with T(n,0) = 0.
     """
-    if not 0 <= n <= TRIANGLE_T_BOUND or not 0 <= k <= n + 1:
-        raise ValueError(f"T({n},{k}) out of range 0 <= k <= n+1, n <= {TRIANGLE_T_BOUND}")
+    if not 0 <= n <= TRIANGLE_BOUND or not 0 <= k <= n + 1:
+        raise ValueError(f"T({n},{k}) out of range 0 <= k <= n+1, n <= {TRIANGLE_BOUND}")
     if k == 0:
         return 0
     closed = k * math.factorial(2 * n - k + 1) // (
@@ -139,8 +137,8 @@ def _ballot_step(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def catalan_triangle_t(n: int, k: int) -> int:
     """Ballot numbers t(n,k) = (n-k+1)/(n+1) binom(n+k, n), t(n,n+1) = 0."""
-    if not 0 <= n <= BALLOT_BOUND or not 0 <= k <= n + 1:
-        raise ValueError(f"t({n},{k}) out of range 0 <= k <= n+1, n <= {BALLOT_BOUND}")
+    if not 0 <= n <= TRIANGLE_BOUND or not 0 <= k <= n + 1:
+        raise ValueError(f"t({n},{k}) out of range 0 <= k <= n+1, n <= {TRIANGLE_BOUND}")
     if k == n + 1:
         return 0
     closed = (n - k + 1) * math.comb(n + k, n) // (n + 1)

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 from .pieces import Support
 from .sequences import (LATTICE_BOUND, SECANT_BOUND, catalan, double_factorial,
                         entringer, lattice_L, multinomial_all_pairs, secant)
-from .transforms import f2, f12, f123
+from .transforms import f2, f12
 
 
 def _comb0(n: int, k: int) -> int:
@@ -264,7 +264,7 @@ class ConverterForm(NamedTuple):
     last: Optional[int] = None
 
     def support(self, i: int) -> Support:
-        return simple_piece_row(self.x).support | Support.of(f"{self.kind}{i}")
+        return simple_piece_row(self.x).support | Support.parse(f"{self.kind}{i}")
 
     def count(self, i: int, n: int) -> int:
         _check_i(i)
@@ -293,26 +293,6 @@ def resolve_theorem(name: str) -> tuple[str, Callable[[int, int], int]]:
         if name in (form.id, form.alias):
             return form.id, form.count
     raise ValueError(f"unknown theorem id {name!r}")
-
-
-def converter_image(family: Support, i: int) -> int:
-    """Send family + C_i through f1 o f2 o f3 and read off the B index.
-
-    Only defined for families the composite map fixes; returns the j with
-    image = family + B_j, so the C_i-augmented and B_j-augmented counts
-    agree.
-    """
-    _check_i(i)
-    if f123(family) != family:
-        raise ValueError(f"{family} is not fixed by the composite map")
-    image = f123(family | Support.of(f"C{i}"))
-    extra = Support.from_mask(image.mask & ~family.mask)
-    if len(extra) != 1:
-        raise ValueError(f"{family} already holds C{i} or its image")
-    b, = extra
-    if b.category != "B":
-        raise RuntimeError(f"expected a B piece, got {b}")
-    return b.index
 
 
 def _refinement(x: int, m: int) -> dict[tuple[int, int], int]:
@@ -409,7 +389,7 @@ def compose_support(query: CompositionQuery) -> Support:
     """The glued support the composition rule counts: glued_support(x, z)
     with B_y, and for kind C its f2 image, f2(sx) | C_y | f1(sz), since f1
     and f2 commute and so f2 o f12 = f1."""
-    support = glued_support(query.x, query.z) | Support.of(f"B{query.y}")
+    support = glued_support(query.x, query.z) | Support.parse(f"B{query.y}")
     return support if query.converter_kind == "B" else f2(support)
 
 

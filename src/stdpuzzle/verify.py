@@ -211,13 +211,15 @@ def _simple_pieces(hi: int) -> tuple[list, list]:
     return computed, expected
 
 
-def _converter_images(hi: int) -> tuple[list, list]:
-    """f1 o f2 o f3 fixes ten simple families and sends each family plus
-    C_i to the family plus B_j, j = 4, 2, 3, 1, 5, 6 for i = 1..6
-    (`theorems.converter_image`): by flip invariance both count alike."""
-    computed = [[row.x, [theorems.converter_image(row.support, i) for i in range(1, 7)]]
-                for row in theorems.SIMPLE_PIECES if f123(row.support) == row.support]
-    return computed, [[x, [4, 2, 3, 1, 5, 6]] for x in (1, 2, 3, 8, 9, 10, 17, 18, 19, 20)]
+def _f123_images(hi: int) -> tuple[list, list]:
+    """f1 o f2 o f3 fixes ten simple families and sends C_i to B_j, j = 4,
+    2, 3, 1, 5, 6 for i = 1..6.  The map acts on each piece alone, and the
+    fixed families hold only A pieces, so each fixed family plus C_i maps
+    to the same family plus B_j, and by flip invariance the two count alike."""
+    fixed = [row.x for row in theorems.SIMPLE_PIECES if f123(row.support) == row.support]
+    images = [str(f123(Support.parse(f"C{i}"))) for i in range(1, 7)]
+    return [fixed, images], [[1, 2, 3, 8, 9, 10, 17, 18, 19, 20],
+                             ["B4", "B2", "B3", "B1", "B5", "B6"]]
 
 
 def _q_lemma(hi: int) -> tuple[list, list]:
@@ -408,7 +410,7 @@ CLAIMS = {
         "{A1..A5}+B_i Entringer sums match the engine",
         partial(_formula, _ENTRINGER_CASES), cap=3, lo=min(c[2] for c in _ENTRINGER_CASES)),
     "converter-images": Claim("2-converter families count like their mapped 1-converter families",
-                              _converter_images, span="-"),
+                              _f123_images, span="-"),
     "q-partition-lemma": Claim(
         "the three split-counting formulas match linear extensions of two chains",
         _q_lemma, span="m+p<=4"),

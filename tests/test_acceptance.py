@@ -13,7 +13,9 @@ test_simple_piece_formulas_match_engine.
 
 import random
 import time
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from pathlib import Path
 
 from stdpuzzle import theorems
@@ -169,13 +171,13 @@ def test_c10_composition_rule():
 
 def aligned(letters, alpha) -> Support:
     """The support {X_i : X in letters, i in alpha}."""
-    return Support.of(*[f"{x}{i}" for x in letters for i in alpha])
+    return Support.parse(",".join(f"{x}{i}" for x in letters for i in alpha))
 
 
 def counts_twice_all_a(alpha, letters, n: int) -> bool:
     """Whether {P_i, Q_i : i in alpha}, with the letters P_i Q_i of each i
     in alpha, counts twice A_alpha at every n' <= n."""
-    support = Support.of(*map(aligned, letters, zip(alpha)))
+    support = reduce(or_, map(aligned, letters, zip(alpha)))
     return count_prefix(support, n) == [2 * c for c in count_prefix(aligned("A", alpha), n)]
 
 

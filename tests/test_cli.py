@@ -577,7 +577,7 @@ def test_commands_import_only_the_modules_they_run():
     assert probe["after_verify"] == probe["after_identify"] + [
         "stdpuzzle.theorems", "stdpuzzle.transforms", "stdpuzzle.verify"]
     # Every public name resolves, and `import *` binds exactly those.
-    assert len(probe["all"]) == 49 and probe["star"] == sorted(probe["all"])
+    assert len(probe["all"]) == 48 and probe["star"] == sorted(probe["all"])
     assert run_probe(_CLOSED_FORM_PROBE) == [
         [0, 0], ["stdpuzzle", "stdpuzzle.cli", "stdpuzzle.pieces", "stdpuzzle.sequences",
                  "stdpuzzle.theorems", "stdpuzzle.transforms"]]

@@ -233,7 +233,7 @@ def _f1_maps():
     each C converter to."""
     by_support = {row.support: row.x for row in SIMPLE_PIECES}
     families_map = {row.x: by_support[f1(row.support)] for row in SIMPLE_PIECES}
-    converters = {y: next(iter(f1(Support.of(f"C{y}")))).index
+    converters = {y: next(iter(f1(Support.parse(f"C{y}")))).index
                   for y in range(1, 7)}
     return families_map, converters
 

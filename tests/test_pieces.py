@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stdpuzzle.counting import CornerTable
-from stdpuzzle.pieces import (EMPTY_SUPPORT, FULL_SUPPORT, PIECES, Puzzle,
-                              StandardPiece, Support, is_supported,
-                              minimal_support, piece, pieces_of,
-                              reduce_window)
+from stdpuzzle.pieces import (FULL_SUPPORT, PIECES, Puzzle, StandardPiece,
+                              Support, is_supported, minimal_support, piece,
+                              pieces_of, reduce_window)
 from stdpuzzle.sequences import SequenceId
 from stdpuzzle.skeleton import SkeletonGraph
 from stdpuzzle.theorems import CompositionQuery, ConverterForm, SimplePieceRow
@@ -114,8 +113,8 @@ def test_support_parse_and_order():
     s = Support.parse("A3,A1,A2")
     assert [p.code for p in s] == ["A1", "A2", "A3"]
     assert str(Support.parse("A,B,D")) == "A1,A2,A3"  # Han letters
-    assert Support.parse("") == EMPTY_SUPPORT
-    assert not EMPTY_SUPPORT and len(FULL_SUPPORT) == 24
+    assert Support.parse("") == Support([])
+    assert not Support.parse("") and len(FULL_SUPPORT) == 24
 
 
 def test_support_mask_and_union():
@@ -128,7 +127,7 @@ def test_support_mask_and_union():
 def test_support_is_a_value_over_its_mask():
     s = Support.parse("D6,A1,B3")
     assert s.mask == 1 | 1 << 8 | 1 << 23
-    assert Support.from_mask(s.mask) == s == Support(set(s)) == Support.of(s)
+    assert Support.from_mask(s.mask) == s == Support(set(s))
     assert hash(Support.from_mask(s.mask)) == hash(s)
     assert [p.code for p in s] == ["A1", "B3", "D6"] and len(s) == 3
     assert repr(s) == "Support.parse('A1,B3,D6')"

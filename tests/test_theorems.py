@@ -9,10 +9,10 @@ from stdpuzzle.pieces import Support
 from stdpuzzle.sequences import fibonacci, lattice_L
 from stdpuzzle.skeleton import all_simple_pieces
 from stdpuzzle.theorems import (CONVERTER_FORMS, CompositionQuery, SIMPLE_PIECES,
-                                compose, compose_support, converter_image,
-                                converter_prefixes,
+                                compose, compose_support, converter_prefixes,
                                 px_refinement, q1, q2, q3, resolve_theorem,
                                 simple_piece_row, simple_piece_count, ty)
+from stdpuzzle.transforms import f123
 
 
 def test_simple_piece_table_rows():
@@ -122,26 +122,17 @@ def test_domain_errors():
     assert simple_piece_count(10, 11) == lattice_L(12)
 
 
-def test_converter_image_map():
-    family = Support.parse("A2,A3")
-    images = {i: converter_image(family, i) for i in range(1, 7)}
-    assert images == {1: 4, 2: 2, 3: 3, 4: 1, 5: 5, 6: 6}
-    for i, j in images.items():
-        for n in (1, 2, 3):
-            assert count_dp(family | Support.of(f"C{i}"), n) == \
-                count_dp(family | Support.of(f"B{j}"), n)
-    with pytest.raises(ValueError):
-        converter_image(Support.parse("A1,A2,A3"), 1)
-    with pytest.raises(ValueError, match="already holds C1"):
-        converter_image(Support.parse("B4,C1"), 1)  # fixed, but holds C1
-    # Every simple family the composite map fixes has a converter image.
+def test_f123_converter_map():
+    # Every simple family f123 fixes, plus C_i, counts like the family plus
+    # the B_j that f123 sends C_i to.
+    converters = [Support.parse(f"C{i}") for i in range(1, 7)]
+    assert [str(f123(c)) for c in converters] == ["B4", "B2", "B3", "B1", "B5", "B6"]
     for x in (1, 2, 3, 8, 9, 10, 17, 18, 19, 20):
         family = simple_piece_row(x).support
-        for i in range(1, 7):
-            j = converter_image(family, i)
+        assert f123(family) == family
+        for c in converters:
             for n in (1, 2, 3):
-                assert count_dp(family | Support.of(f"C{i}"), n) == \
-                    count_dp(family | Support.of(f"B{j}"), n), (x, i, n)
+                assert count_dp(family | c, n) == count_dp(family | f123(c), n), (x, c, n)
 
 
 def test_px_refinement_values():

@@ -50,7 +50,7 @@ def test_mask_maps_agree_with_support_maps_on_every_piece():
         for t, perm, fmap in ((t1, F1, f1), (t2, F2, f2), (t3, F3, f3)):
             image = pieces_of(t(puzzle))[0]
             assert map_mask(perm, 1 << p.ordinal) == 1 << image.ordinal
-            assert fmap(Support.of(p)) == Support.of(image)
+            assert fmap(Support([p])) == Support([image])
 
 
 def test_symmetries_are_the_group_of_order_8_that_f1_f2_f3_generate():

@@ -113,8 +113,8 @@ def test_additivity_fails_where_the_converter_kinds_mix(converters, mixed):
     # both kinds has puzzles with two distinct converters.
     base = Support.parse(_AD)
     codes = converters.split(",")
-    singles = [count_prefix(base | Support.of(code), 6) for code in codes]
-    computed = count_prefix(base | Support.of(*codes), 6)
+    singles = [count_prefix(base | Support.parse(code), 6) for code in codes]
+    computed = count_prefix(base | Support.parse(converters), 6)
     expected = converter_prefixes(count_prefix(base, 6), singles)[-1]
     if mixed:
         assert computed[0] == expected[0]
@@ -236,11 +236,13 @@ def test_flip_invariance_fails_for_every_adjacent_swap(monkeypatch):
     assert statuses == [STATUS_FAIL] * 72
 
 
-def test_converter_images_fail_for_every_adjacent_swap_of_the_c_images(monkeypatch):
-    # Entries 12..17 of F3 are the images of C1..C6: a swap of two of them
-    # sends some C_i to the wrong B_j.
+@pytest.mark.parametrize("swapped", (slice(0, 5), slice(12, 17)), ids=("A", "C"))
+def test_f123_images_fail_for_every_adjacent_swap(monkeypatch, swapped):
+    # Entries 0..5 of F3 are the images of A1..A6 and entries 12..17 those of
+    # C1..C6: a swap of two A images changes which simple families f123
+    # fixes, and a swap of two C images sends some C_i to the wrong B_j.
     statuses = []
-    for perm in list(_swaps(transforms.F3))[12:17]:
+    for perm in list(_swaps(transforms.F3))[swapped]:
         with monkeypatch.context() as patch:
             patch.setattr(transforms, "F3", perm)
             statuses.append(run_verification(["converter-images"]).results[0].status)
