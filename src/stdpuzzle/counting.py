@@ -28,13 +28,13 @@ where the per-state scan cost O(m^4): the 2D form of the boustrophedon
 recurrence behind Entringer numbers.  A caller that wants several m
 walks once, and after an empty table no step runs.
 
-The brute-force engine sums the paths through its own moves layer by
-layer (and walks them to materialize the puzzles).  `_moves` builds the
-moves once per (m, reachable state): it relabels the old column into the
-new label set and asks `reduce_window` whether the window is a supported
-piece.  It never reads the rectangle table, so the two engines share only
-`Support` and the piece definitions; the definition-level check of both
-is the `reduce_window` filter over every grid filling in the tests.
+The brute-force engine is the one walk `_walk`: at each layer m it builds
+the moves out of every reachable state (relabelling the old column into
+the new label set and asking `reduce_window` whether the window is a
+supported piece), then carries each state's path count along them.  It
+never reads the rectangle table, so the two engines share only `Support`
+and the piece definitions; the definition-level check of both is the
+`reduce_window` filter over every grid filling in the tests.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .pieces import Puzzle, Support, reduce_window
 
-#: Ceiling for the brute force, set by the listing walk and the cost of `_moves`.
+#: Ceiling for the brute force, set by the listing walk and the cost of `_walk`.
 BRUTE_FORCE_BOUND = 5
 
 #: Ceiling on the number of puzzles `enumerate_puzzles` holds and sorts.
@@ -204,21 +204,21 @@ def _relabel(u2: int, v2: int, size: int) -> list[int]:
     return [r for r in range(1, size + 1) if r != u2 and r != v2]
 
 
-def _moves(support: Support, n: int) -> list[dict]:
-    """moves[m][(u, v)]: the columns (u', v') over 2m+2 labels that may
-    follow the column (u, v) over 2m labels, for m = 1..n and the states
-    reachable after m columns.  Each move is checked by `reduce_window`
-    on the relabelled window, not by the DP's rectangle table."""
+def _walk(support: Support, n: int) -> tuple[list[dict], int]:
+    """(moves, total): moves[m][(u, v)] lists the columns (u', v') over
+    2m+2 labels that may follow (u, v) over 2m labels, for the states
+    reachable after m = 1..n columns, each checked by `reduce_window`;
+    total counts the paths through them, carried layer by layer."""
     if n < 1:
         raise ValueError("puzzles need n >= 1 pieces")
     if n > BRUTE_FORCE_BOUND:
         raise ValueError(f"n={n} exceeds the brute-force bound {BRUTE_FORCE_BOUND}")
     mask = support.mask
     moves: list[dict] = [{}]
-    states = {(1, 2), (2, 1)}
+    paths = {(1, 2): 1, (2, 1): 1}
     for m in range(1, n + 1):
         size = 2 * m + 2
-        layer = {state: [] for state in states}
+        layer = {state: [] for state in paths}
         for u2 in range(1, size + 1):
             for v2 in range(1, size + 1):
                 if u2 == v2:
@@ -229,25 +229,17 @@ def _moves(support: Support, n: int) -> list[dict]:
                     if mask >> reduce_window(new[v - 1], v2, new[u - 1], u2).ordinal & 1:
                         targets.append((u2, v2))
         moves.append(layer)
-        states = {t for targets in layer.values() for t in targets}
-    return moves
-
-
-def _count_paths(moves: list[dict]) -> int:
-    """Paths through `moves`, summed per reachable state layer by layer."""
-    paths = {(1, 2): 1, (2, 1): 1}
-    for layer in moves[1:]:
         nxt: dict[tuple[int, int], int] = {}
-        for state, cnt in paths.items():
-            for target in layer[state]:
-                nxt[target] = nxt.get(target, 0) + cnt
+        for state, targets in layer.items():
+            for target in targets:
+                nxt[target] = nxt.get(target, 0) + paths[state]
         paths = nxt
-    return sum(paths.values())
+    return moves, sum(paths.values())
 
 
 def count_bruteforce(support: Support, n: int) -> int:
     """Ground-truth count: the paths through the `reduce_window` moves."""
-    return _count_paths(_moves(support, n))
+    return _walk(support, n)[1]
 
 
 def _gen(top: tuple[int, ...], bottom: tuple[int, ...], n: int,
@@ -268,8 +260,7 @@ def enumerate_puzzles(support: Support, n: int) -> list[Puzzle]:
     The listing is held in memory, so it is refused (ValueError) when the
     brute-force moves give more than LISTING_BOUND puzzles.
     """
-    moves = _moves(support, n)
-    total = _count_paths(moves)
+    moves, total = _walk(support, n)
     if total > LISTING_BOUND:
         raise ValueError(f"{total} puzzles exceed the listing bound "
                          f"{LISTING_BOUND}")

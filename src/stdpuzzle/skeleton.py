@@ -12,10 +12,10 @@ label(u).  The pieces whose grids extend the skeleton's partial order
 form a "simple piece", and the order is the relations they share.  A
 skeleton's class 1..4 is the category A..D all its pieces share, which
 they do exactly when the order relates both columns (two unrelated
-corners come in both orders among its extensions); the 80 simple pieces
-come from those orders among the 219 on the corners.  Concatenating a
-basic skeleton across a 2x(n+1) grid gives the puzzle's order poset,
-whose linear extensions are exactly the supported puzzles.
+corners come in both orders among its extensions): 80 of the 219 orders
+on the corners.  The table of simple pieces is read off that definition.
+Concatenating a basic skeleton across a 2x(n+1) grid gives the puzzle's
+order poset, whose linear extensions are exactly the supported puzzles.
 """
 
 from __future__ import annotations
@@ -131,20 +131,19 @@ def simple_piece(g: SkeletonGraph) -> Support:
 def _skeletons() -> dict:
     """{support: generating basic skeleton} for the 80 simple pieces.
 
-    The transitive relations on the 12 ordered corner pairs are the 219
-    strict partial orders on the corners (A001035): one holding (u, v) and
-    (v, u) would have to hold (u, u), which is not a corner pair.  Distinct
-    orders have distinct sets of linear extensions, hence distinct
-    supports, and each order's skeleton is its Hasse diagram.
+    A strict partial order is the intersection of its linear extensions,
+    and every linear order of the corners is a piece, so a set S of pieces
+    is an order's extension set exactly when it is that of the order S
+    shares, whose Hasse diagram is its skeleton.  S lies in one category
+    exactly when that order relates both columns: 4 x 63 candidate sets.
     """
     table = {}
-    for bits in range(1 << len(_PAIRS)):
-        order = frozenset(e for i, e in enumerate(_PAIRS) if bits >> i & 1)
-        if not all((u, w) in order for u, v in order for x, w in order if v == x):
-            continue
-        support = _extending_pieces(order)
-        if _class(support) is not None:
-            table[support] = basic_skeleton(_covers(order))
+    for k in range(0, 24, 6):
+        for bits in range(1, 64):
+            support = Support(p for i, p in enumerate(PIECES[k:k + 6]) if bits >> i & 1)
+            order = _shared_order(support)
+            if _extending_pieces(order) == support:
+                table[support] = basic_skeleton(_covers(order))
     return table
 
 

@@ -180,6 +180,10 @@ def test_enumerate_sorted_and_supported():
 
 def test_enumerate_empty_support():
     assert enumerate_puzzles(Support.parse(""), 1) == []
+    # B1 alone dies after one piece; the walk keeps stepping to the bound.
+    for n in (4, 5):
+        assert count_bruteforce(Support.parse("B1"), n) == 0
+        assert enumerate_puzzles(Support.parse("B1"), n) == []
 
 
 def test_dp_builds_layers_iteratively():

@@ -1,5 +1,6 @@
 import pytest
 
+from stdpuzzle import skeleton
 from stdpuzzle.counting import count_bruteforce, count_dp, count_prefix
 from stdpuzzle.pieces import Support
 from stdpuzzle.sequences import secant
@@ -61,6 +62,9 @@ def test_validate_matches_path_length_definition():
             valid.append(g)
     assert len(valid) == 219
     assert sum(classify(g) is not None for g in valid) == 80
+    # The table read off the definition is the one this walk finds.
+    assert {simple_piece(g): g for g in valid
+            if classify(g) is not None} == skeleton._skeletons()
     # The class read from the walk alone: the orientation of the two
     # column relations, 1..4 as (b, a) or (a, b) meets (d, c) or (c, d).
     for g in valid:
