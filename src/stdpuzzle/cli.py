@@ -222,13 +222,12 @@ def cmd_compose(args) -> int:
     query = theorems.CompositionQuery(args.x, args.y, args.z, args.n,
                                       args.converter)
     value = theorems.compose(query)
+    support = theorems.compose_support(query)
     payload = {"x": args.x, "y": args.y, "z": args.z, "n": args.n,
-               "converter": args.converter,
-               "support": str(theorems.compose_support(query)),
-               "value": str(value)}
+               "converter": args.converter, "support": str(support), "value": str(value)}
     if args.verify:
         from .counting import count_dp
-        check = count_dp(theorems.compose_support(query), args.n)
+        check = count_dp(support, args.n)
         payload["engine_count"] = str(check)
         payload["verified"] = check == value
     _emit(args, payload, csv_rows=[payload])

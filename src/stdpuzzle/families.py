@@ -16,12 +16,12 @@ runs `count_prefix` only on each group's base and single-converter supports.
 
 It also counts each such support at most once up to symmetry.  The maps
 f1, f2 and f3 send the puzzles of a support onto those of its image, and
-together they generate 8 maps (`transforms.SYMMETRIES`).  The sweep works
-on 24-bit support masks: it builds each group's base mask and the 64
-converter masks once, and files each counted prefix under the least of
-the support's 8 images.  A base or single-converter support with the same
-least image reuses that prefix: the full kind-2 sweep runs the DP on 631
-supports instead of 4693.
+as commuting involutions they generate 8 maps (`transforms.SYMMETRIES`).
+The sweep works on 24-bit support masks: a row's mask is its group's base
+with the subset's converter bits shifted into their category's block, and
+each counted prefix is filed under the least of the support's 8 images.
+A base or single-converter support with the same least image reuses that
+prefix: the full kind-2 sweep runs the DP on 631 supports instead of 4693.
 
 A group's base is `theorems.glued_support(x, z)`, the support to which
 `theorems.compose_support` adds B_y, or for a mirrored kind-1 group its
@@ -44,7 +44,7 @@ from operator import or_
 from typing import Iterator
 
 from .counting import count_prefix
-from .pieces import Support
+from .pieces import Support, piece
 from .sequences import registry_matches
 from .theorems import SIMPLE_PIECES, converter_prefixes, glued_support
 from .transforms import SYMMETRIES, f2, map_mask
@@ -56,8 +56,11 @@ _FORMULA_FREE = frozenset(r.x for r in SIMPLE_PIECES if r.refinement is None)
 #: 24 (3.7 s at 16, 24 s at 32), and the full kind-1 sweep 1 s.
 NMAX_BOUND = 24
 
-#: The 64 converter subsets by size, then lexicographically.
-_SUBSETS = tuple(frozenset(c) for r in range(7) for c in combinations(range(1, 7), r))
+#: The 64 converter subsets by size, then lexicographically, as (text, bits):
+#: converter y of kind K is bit y - 1 of bits, bit _SHIFT[K] + y - 1 of a mask.
+_SUBSETS = tuple((",".join(map(str, c)), sum(1 << y - 1 for y in c))
+                 for r in range(7) for c in combinations(range(1, 7), r))
+_SHIFT = {kind: piece(f"{kind}1").ordinal for kind in "BC"}
 
 
 def _images(mask: int) -> list[int]:
@@ -103,12 +106,9 @@ def sweep(kind: int, nmax: int, include_open: bool = False,
 
 
 def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
-    subsets = [(",".join(map(str, sorted(s))), sum(1 << (y - 1) for y in s)) for s in _SUBSETS]
-    converter_masks = {ck: [Support.parse(",".join(f"{ck}{y}" for y in s)).mask
-                            for s in _SUBSETS] for ck in "BC"}
-    # per kind, the single converters {1}..{6} (_SUBSETS[1:7]) and their images
-    single_converters = {ck: [(m, _images(m)) for m in masks[1:7]]
-                         for ck, masks in converter_masks.items()}
+    # per kind, the single converters 1..6 and their images
+    single_converters = {ck: [(1 << shift + j, _images(1 << shift + j)) for j in range(6)]
+                         for ck, shift in _SHIFT.items()}
     orbits: dict[int, list[int]] = {}  # least symmetry image -> prefix
 
     def counted(mask: int, images) -> list[int]:
@@ -132,7 +132,7 @@ def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
                 counts = [counted(base | mask, map(or_, images, mask_images))
                           for mask, mask_images in single_converters[converter_kind]]
                 tables.append(converter_prefixes(counted(base, images), counts))
-            for (text, bits), converters in zip(subsets, converter_masks[converter_kind]):
+            for text, bits in _SUBSETS:
                 for mirrored, base, prefixes in zip(mirrorings, bases, tables):
                     prefix = prefixes[bits]
                     matches = registry_matches(prefix)
@@ -143,7 +143,7 @@ def _rows(kind: int, indices: list[int], nmax: int) -> Iterator[dict]:
                         "converter_subset": text,
                         "z": "" if z is None else z,
                         "mirrored": mirrored,
-                        "support": str(Support.from_mask(base | converters)),
+                        "support": str(Support.from_mask(base | bits << _SHIFT[converter_kind])),
                         "formula_free": formula_free,
                         "duplicate_support": converter_kind == "C" and not bits,
                         "prefix": [str(v) for v in prefix],

@@ -140,7 +140,7 @@ def _skeletons() -> dict:
     table = {}
     for k in range(0, 24, 6):
         for bits in range(1, 64):
-            support = Support(p for i, p in enumerate(PIECES[k:k + 6]) if bits >> i & 1)
+            support = Support.from_mask(bits << k)
             order = _shared_order(support)
             if _extending_pieces(order) == support:
                 table[support] = basic_skeleton(_covers(order))

@@ -54,25 +54,16 @@ def map_mask(perm: tuple[int, ...], mask: int) -> int:
     return image
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation p after q."""
-    return tuple(p[j] for j in q)
+_IDENTITY = tuple(range(24))
 
-
-def _generate(*perms: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every composite of the given permutations, the identity first."""
-    group = {tuple(range(24))}
-    new = group
-    while new:
-        new = {_compose(g, p) for g in new for p in perms} - group
-        group |= new
-    return tuple(sorted(group))
-
-
-#: The maps f1, f2 and f3 generate, as permutations: each sends the
-#: puzzles of a support onto those of its image, so all of a support's
-#: images count alike.
-SYMMETRIES = _generate(F1, F2, F3)
+#: The maps f1, f2 and f3 generate, sorted as permutations.  They are commuting
+#: involutions, so these are their 8 products f1^a f2^b f3^c.  Each sends the
+#: puzzles of a support onto those of its image, so all its images count alike.
+SYMMETRIES = tuple(sorted(
+    tuple(p1[p2[p3[i]]] for i in range(24))
+    for p1 in (_IDENTITY, F1)
+    for p2 in (_IDENTITY, F2)
+    for p3 in (_IDENTITY, F3)))
 
 
 def f1(support: Support) -> Support:

@@ -333,7 +333,7 @@ def _engine_equivalence(hi: int) -> tuple[list, list]:
     computed, expected = [], []
     for _ in range(30):
         size = rng.randrange(0, 25)
-        s = Support(frozenset(rng.sample(PIECES, size)))
+        s = Support(rng.sample(PIECES, size))
         computed += count_prefix(s, hi)
         expected += [count_bruteforce(s, n) for n in range(1, hi + 1)]
     return computed, expected

@@ -68,6 +68,22 @@ def test_include_open_adds_family_ten():
     assert all(r["formula_free"] for r in rows if r["x"] == 10)
 
 
+def test_converter_bits_follow_the_piece_table():
+    """The sweep places converter y of kind K at a shifted bit; the piece
+    table, through Support.parse, must put that piece at the same bit."""
+    for kind in "BC":
+        for y in range(1, 7):
+            assert 1 << families._SHIFT[kind] + y - 1 == Support.parse(f"{kind}{y}").mask
+    subsets = [[int(y) for y in text.split(",") if y] for text, _ in families._SUBSETS]
+    assert len(set(map(tuple, subsets))) == 64
+    assert subsets == sorted(subsets, key=lambda ys: (len(ys), ys))
+    for ys, (_, bits) in zip(subsets, families._SUBSETS):
+        assert ys == sorted(set(ys)) and set(ys) <= set(range(1, 7))
+        assert bits == sum(1 << y - 1 for y in ys)
+        assert Support.from_mask(bits << families._SHIFT["B"]) == \
+            Support.parse(",".join(f"B{y}" for y in ys))
+
+
 def test_support_assembly():
     rows = {tuple(r[k] for k in DESCRIPTOR_KEYS[:5]): r["support"]
             for kind, xs in ((1, [4]), (2, [4, 16])) for r in sweep(kind, 1, xs=xs)}

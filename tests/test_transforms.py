@@ -54,13 +54,21 @@ def test_mask_maps_agree_with_support_maps_on_every_piece():
 
 
 def test_symmetries_are_the_group_of_order_8_that_f1_f2_f3_generate():
+    # The premise SYMMETRIES is built on: commuting involutions, so the
+    # group they generate is their 8 products.
+    def after(p, q):
+        return tuple(p[j] for j in q)
+    for f in (F1, F2, F3):
+        assert after(f, f) == tuple(range(24))
+    for f, g in ((F1, F2), (F1, F3), (F2, F3)):
+        assert after(f, g) == after(g, f)
     assert len(SYMMETRIES) == 8 == len(set(SYMMETRIES))
     assert tuple(range(24)) in SYMMETRIES
     assert {F1, F2, F3} <= set(SYMMETRIES)
     for g in SYMMETRIES:
         assert sorted(g) == list(range(24))
         for h in SYMMETRIES:
-            assert tuple(g[j] for j in h) in SYMMETRIES
+            assert after(g, h) in SYMMETRIES
     # Every image of a support counts alike (the sweep shares prefixes on it).
     support = Support.parse("A1,A2,B3,C5,D6")
     prefix = count_prefix(support, 5)
